@@ -122,7 +122,8 @@ class AntipodalGraph:
 
     Neighbor lists (CSR, sorted) are always kept; a dense uint8 matrix is
     also stored for k <= 4096.  Both representations answer degree and
-    common-neighbor queries identically.
+    common-neighbor queries identically.  Products with a vector go through
+    a SciPy ``csr_array`` of the same lists, built on first use.
     """
 
     k: int
@@ -146,6 +147,14 @@ class AntipodalGraph:
         """Per-CSR-entry row number (companion to `indices`)."""
         return np.repeat(np.arange(self.k, dtype=np.int64), self.degrees)
 
+    @cached_property
+    def csr(self):
+        """The adjacency as a float64 ``scipy.sparse.csr_array``."""
+        from scipy.sparse import csr_array
+
+        data = np.ones(self.indices.size, dtype=np.float64)
+        return csr_array((data, self.indices, self.indptr), shape=(self.k, self.k))
+
     @property
     def adjacency(self) -> np.ndarray:
         if self.dense is not None:
@@ -158,7 +167,7 @@ class AntipodalGraph:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return kernels.csr_matvec(self.indptr, self.indices, self.row_index, x)
+        return self.csr @ x
 
     @classmethod
     def from_dense(cls, matrix) -> "AntipodalGraph":

@@ -32,8 +32,9 @@ _ENV_DISABLED = os.environ.get("ANTIPODAL_DISABLE_NUMBA", "").strip().lower() in
 
 USE_NUMBA = HAVE_NUMBA and not _ENV_DISABLED
 
-# rows per block for the chunked NumPy paths; bounds peak memory at ~tens of MB
-_BLOCK_ELEMS = 4_000_000
+# elements per block for the chunked NumPy paths: each float64 temporary of a
+# block is 8 MB, which bounds their peak memory at a few tens of MB
+_BLOCK_ELEMS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,11 @@ def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
 
 
 def csr_matvec(indptr, indices, rows, x):
-    """y = A @ x for the 0/1 CSR matrix; `rows` is the per-entry row index."""
+    """y = A @ x for the 0/1 CSR matrix; `rows` is the per-entry row index.
+
+    The package's own products go through ``AntipodalGraph.matvec`` (SciPy
+    CSR); this kernel stays as a standalone NumPy/numba reference.
+    """
     if USE_NUMBA:
         return _csr_matvec_nb(indptr, indices, x)
     return _csr_matvec_numpy(indptr, indices, rows, x, indptr.shape[0] - 1)

@@ -3,15 +3,21 @@
 Four quantities, ordered λ1 <= CW(sqrt(d)) <= max_i sqrt(sum_{j~i} d_j)
 <= sqrt(2|E|) on every graph with an edge:
 
-* λ1 by power iteration (the matrix is symmetric nonnegative, only the top
-  eigenvalue is needed);
+* λ1 by implicitly restarted Lanczos (ARPACK through SciPy's ``eigsh``;
+  Lehoucq, Sorensen & Yang 1998), started deterministically from the
+  indicator of the non-isolated vertices and certified by its eigen-residual
+  ||M v - λ v|| <= 10 * tol * λ * ||v||, with ``max_iter`` a budget on the
+  solver's matvecs; shifted power iteration stays as the reference it is
+  checked against;
 * the Collatz-Wielandt certificate max_i (Mx)_i / x_i for a positive x,
   evaluated at x_i = sqrt(d_i);
 * the Cauchy-Schwarz relaxation of that certificate;
 * the trace bound sqrt(tr(M^T M)) = sqrt(2|E|).
 
 Isolated vertices are removed inside each operation (restriction), so the
-stored graph stays faithful to the raw discretization.
+stored graph stays faithful to the raw discretization.  Every operation
+applies the adjacency through ``AntipodalGraph.matvec``.  SciPy is imported
+on first use, not with the package.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ class NoEdgesError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate."""
+    """The eigensolver failed to converge or to certify; carries the last
+    estimate."""
 
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
@@ -57,6 +64,13 @@ def _nonisolated(G: AntipodalGraph) -> np.ndarray:
     return np.nonzero(G.degrees > 0)[0]
 
 
+def _check_solver_args(tol: float, max_iter: int) -> None:
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def power_iteration(
     G: AntipodalGraph,
     tol: float = DEFAULT_TOL,
@@ -64,20 +78,18 @@ def power_iteration(
 ) -> tuple[float, np.ndarray]:
     """Top eigenvalue and Perron iterate of the adjacency matrix.
 
-    Iterates on M + I (standard shift: it preserves the top eigenpair of a
-    nonnegative symmetric M while breaking the ±λ1 oscillation of bipartite
-    graphs) from the all-ones vector.  Convergence requires both successive
-    Rayleigh estimates within tol relative and the eigen-residual
+    The reference solver that `perron_pair` is tested against.  Iterates on
+    M + I (standard shift: it preserves the top eigenpair of a nonnegative
+    symmetric M while breaking the ±λ1 oscillation of bipartite graphs) from
+    the all-ones vector.  Convergence requires both successive Rayleigh
+    estimates within tol relative and the eigen-residual
     ||M v - λ v|| <= 10 * tol * λ * ||v||.
 
     Returns (λ1 estimate, iterate on the full vertex set; isolated vertices
     carry zero).
     """
     _require_edges(G)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_solver_args(tol, max_iter)
     live = _nonisolated(G)
     k_eff = live.size
     # matvec on the full graph: isolated rows stay zero and do not interact
@@ -103,13 +115,81 @@ def power_iteration(
     )
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
+def perron_pair(
+    G: AntipodalGraph,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and nonnegative Perron vector by Lanczos.
+
+    ARPACK's implicitly restarted Lanczos (``eigsh``, which="LA") runs on
+    ``G.matvec`` from the indicator of the non-isolated vertices, with a
+    fixed generator for any restart vector, so the result is reproducible.
+    ``max_iter`` budgets the solver's matvecs; when it runs out, the error
+    carries the Rayleigh quotient of the last vector applied.  The returned
+    pair must pass ||M v - λ v|| <= 10 * tol * λ * ||v||, where λ is the
+    Rayleigh quotient of v, or `PowerIterationError` is raised.
+
+    Returns (λ1, nonnegative vector on the full vertex set; isolated
+    vertices carry zero).
+    """
+    _require_edges(G)
+    _check_solver_args(tol, max_iter)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    live = G.degrees > 0
+    calls = 0
+    estimate = math.nan
+
+    def apply(x):
+        nonlocal calls, estimate
+        if calls == max_iter:
+            raise _BudgetExhausted
+        calls += 1
+        y = G.matvec(x)
+        estimate = float(x @ y) / float(x @ x)
+        return y
+
+    op = LinearOperator((G.k, G.k), matvec=apply, dtype=np.float64)
+    try:
+        _, vecs = eigsh(op, k=1, which="LA", v0=live.astype(np.float64),
+                        tol=tol, maxiter=int(max_iter), rng=0)
+    except (_BudgetExhausted, ArpackNoConvergence):
+        raise PowerIterationError(
+            f"no convergence within {max_iter} matvecs (last estimate {estimate})",
+            estimate=estimate,
+        ) from None
+    v = vecs[:, 0]
+    if v.sum() < 0.0:
+        v = -v
+    # the Perron vector is nonnegative; clear roundoff below zero
+    v = np.where(live, np.maximum(v, 0.0), 0.0)
+    mv = G.matvec(v)
+    vv = float(v @ v)
+    lam = float(v @ mv) / vv
+    resid = float(np.linalg.norm(mv - lam * v))
+    if not resid <= 10.0 * tol * lam * math.sqrt(vv):
+        raise PowerIterationError(
+            f"eigen-residual {resid:.3g} fails the certificate at λ = {lam!r}",
+            estimate=lam,
+        )
+    return lam, v
+
+
 def lambda1(
     G: AntipodalGraph,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
-    """Largest adjacency eigenvalue via power iteration (Rayleigh quotient)."""
-    lam, _ = power_iteration(G, tol, max_iter)
+    """Largest adjacency eigenvalue, certified by its eigen-residual.
+
+    Computed by `perron_pair` (Lanczos); ``max_iter`` is a budget on matvecs.
+    """
+    lam, _ = perron_pair(G, tol, max_iter)
     return lam
 
 
