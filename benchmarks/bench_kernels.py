@@ -9,8 +9,9 @@ Run:
     python benchmarks/bench_kernels.py
 
 If numba is unavailable only the NumPy column is reported.  The "csr matvec"
-row times `AntipodalGraph.matvec`, the SciPy product the package runs, so it
-reads the same under both paths.
+row times `AntipodalGraph.matvec`, the SciPy product the package runs, and the
+"max_scaled_tail" row times the tail constant from row blocks of the sparse
+product A·A, so both read the same under both paths.
 """
 
 import statistics
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from antipodal import kernels
-from antipodal.boundary import build_graph, discretize_boundary
+from antipodal.boundary import build_graph, discretize_boundary, max_scaled_tail
 from antipodal.generators import circle_config
 from antipodal.geometry import convex_hull
 
@@ -62,15 +63,8 @@ def _benchmarks(data):
             y = y / np.linalg.norm(y)
         return y
 
-    def common_rows_x64():
-        out = 0
-        for i in range(0, graph.k, graph.k // 64):
-            out += int(
-                kernels.common_neighbor_counts(
-                    graph.indptr, graph.indices, graph.row_index, i
-                ).sum()
-            )
-        return out
+    def scaled_tail():
+        return max_scaled_tail(boxing, graph)
 
     def raster():
         return kernels.annuli_occupancy_grid(
@@ -81,7 +75,7 @@ def _benchmarks(data):
         "pair counts (n=4000)": pair_counts,
         f"box adjacency (k={graph.k})": adjacency,
         "csr matvec x200": matvec_x200,
-        "common-neighbor rows x64": common_rows_x64,
+        f"max_scaled_tail (k={graph.k})": scaled_tail,
         "annuli raster (d=0.05)": raster,
     }
 

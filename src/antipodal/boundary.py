@@ -6,6 +6,11 @@ boxes are adjacent when their maximum point-to-point distance reaches
 1 - ε.  On top of the graph: degrees, common neighborhoods, the near-set W
 of a vertex, and the tail counts T_s used to probe how common-neighborhood
 sizes decay for far-apart boxes.
+
+Common-neighbor counts are entries of the sparse product A·A.  A single row
+is one SciPy product A @ 1_{N(i)}; the tail constant takes A·A a block of
+rows at a time (row-wise Gustavson product), with each block cut so that it
+stores at most ``kernels._BLOCK_ELEMS`` entries.
 """
 
 from __future__ import annotations
@@ -199,13 +204,16 @@ def near_set_W(boxing: BoundaryBoxing, i: int, factor: float = 100.0) -> np.ndar
 
     The threshold is inclusive, so i itself is always a member.
     """
-    s = boxing.side
-    dcx = np.abs(boxing.centers[:, 0] - boxing.centers[i, 0])
-    dcy = np.abs(boxing.centers[:, 1] - boxing.centers[i, 1])
-    gx = np.maximum(dcx - s, 0.0)
-    gy = np.maximum(dcy - s, 0.0)
-    near = np.hypot(gx, gy) <= factor * boxing.epsilon
+    near = _box_gaps(boxing, i, slice(None)) <= factor * boxing.epsilon
     return np.nonzero(near)[0]
+
+
+def _box_gaps(boxing: BoundaryBoxing, i, j) -> np.ndarray:
+    """Min distances between boxes i and j (indices broadcast elementwise)."""
+    c = boxing.centers
+    gx = np.maximum(np.abs(c[j, 0] - c[i, 0]) - boxing.side, 0.0)
+    gy = np.maximum(np.abs(c[j, 1] - c[i, 1]) - boxing.side, 0.0)
+    return np.hypot(gx, gy)
 
 
 def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:
@@ -218,8 +226,10 @@ def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:
 
 
 def common_neighbor_row(G: AntipodalGraph, i: int) -> np.ndarray:
-    """Vector of |N(i) & N(j)| over all j (j = i entry equals d_i)."""
-    return kernels.common_neighbor_counts(G.indptr, G.indices, G.row_index, i)
+    """Vector of |N(i) & N(j)| over all j (j = i entry equals d_i): row i of A·A."""
+    mark = np.zeros(G.k, dtype=np.float64)
+    mark[G.neighbors(i)] = 1.0
+    return G.matvec(mark).astype(np.int64)
 
 
 def tail_counts(G: AntipodalGraph, i: int, W: np.ndarray) -> np.ndarray:
@@ -247,20 +257,45 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
 
 def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
                     factor: float = 100.0) -> float:
-    """max over vertices i and s of s * T_s / k (the tail-bound constant)."""
-    best = 0.0
-    ks = np.arange(1, G.k + 1, dtype=np.float64)
-    for i in range(G.k):
-        counts = common_neighbor_row(G, i)
-        W = near_set_W(boxing, i, factor)
-        mask = np.ones(G.k, dtype=bool)
-        mask[W] = False
-        vals = np.sort(counts[mask])[::-1]
-        if vals.size == 0 or vals[0] == 0:
-            continue
-        m = float((vals * ks[: vals.size]).max())
-        if m > best:
-            best = m
+    """max over vertices i and s of s * T_s / k (the tail-bound constant).
+
+    T_s counts the j outside near_set_W(boxing, i, factor) with
+    |N(i) & N(j)| >= s.  The counts come from A·A one block of rows at a
+    time; entries near their row's box are dropped by the same test as
+    `near_set_W`, and one ``bincount`` gives each row's histogram of the
+    rest, whose reversed cumulative sum is T_s.  By the layer-cake identity
+    max_s s * T_s equals the max over ranks r of r times the r-th largest
+    count, and both are exact integers.
+
+    Row i of A·A stores at most sum_{j in N(i)} d_j entries, so blocks are
+    cut on the running sum of those bounds to hold at most
+    ``kernels._BLOCK_ELEMS`` entries (a one-row block may hold more), and to
+    at most ``kernels._BLOCK_ELEMS // (max degree + 1)`` rows, which caps the
+    histogram: it is as wide as the block's largest far count plus one, and
+    no count exceeds the max degree.
+    """
+    if boxing.k != G.k:
+        raise ValueError(f"boxing has {boxing.k} boxes but the graph has {G.k} vertices")
+    near = factor * boxing.epsilon
+    top = int(G.degrees.max()) + 1
+    budget = kernels._BLOCK_ELEMS
+    max_rows = max(1, budget // top)
+    bound = np.zeros(G.k + 1, dtype=np.int64)
+    np.cumsum(G.matvec(G.degrees.astype(np.float64)).astype(np.int64), out=bound[1:])
+    best = 0
+    i0 = 0
+    while i0 < G.k:
+        i1 = int(np.searchsorted(bound, bound[i0] + budget, side="right")) - 1
+        i1 = max(i0 + 1, min(i1, i0 + max_rows, G.k))
+        block = G.csr[i0:i1] @ G.csr
+        rows = np.repeat(np.arange(i1 - i0), np.diff(block.indptr))
+        far = ~(_box_gaps(boxing, i0 + rows, block.indices) <= near)
+        vals = block.data[far].astype(np.int64)
+        width = int(vals.max(initial=0)) + 1
+        hist = np.bincount(rows[far] * width + vals, minlength=(i1 - i0) * width)
+        tails = np.cumsum(hist.reshape(i1 - i0, width)[:, ::-1], axis=1)[:, ::-1]
+        best = max(best, int((tails * np.arange(width)).max()))
+        i0 = i1
     return best / G.k
 
 

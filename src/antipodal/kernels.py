@@ -323,7 +323,12 @@ def csr_matvec(indptr, indices, rows, x):
 
 
 def common_neighbor_counts(indptr, indices, rows, i: int):
-    """Vector of |N(i) & N(j)| over all j for the 0/1 CSR adjacency."""
+    """Vector of |N(i) & N(j)| over all j for the 0/1 CSR adjacency.
+
+    The package's own rows and tails come from SciPy products with the
+    adjacency (``boundary.common_neighbor_row``, ``boundary.max_scaled_tail``);
+    this kernel stays as a standalone NumPy/numba reference.
+    """
     k = indptr.shape[0] - 1
     if USE_NUMBA:
         return _common_counts_nb(indptr, indices, k, int(i))

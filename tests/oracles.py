@@ -6,6 +6,8 @@ and shares no code with the library paths it checks.
 
 import math
 
+import numpy as np
+
 
 def pair_counts_brute(points, eps):
     """O(n^2) loop count of pairs at distance <= eps and >= 1 - eps."""
@@ -127,3 +129,20 @@ def box_graph_brute(centers, side, eps):
 
 def common_neighbors_brute(adj, i, j):
     return len(adj[i] & adj[j])
+
+
+def max_scaled_tail_brute(centers, side, epsilon, adj, factor=100.0):
+    """Tail constant vertex by vertex: max over i and ranks r of r times the
+    r-th largest |N(i) & N(j)| over the j whose box lies farther than
+    factor * epsilon (min distance) from box i, divided by k."""
+    a = np.asarray(adj, dtype=np.float64)
+    k = a.shape[0]
+    best = 0
+    for i in range(k):
+        row = (a @ a[i]).astype(np.int64)
+        gx = np.maximum(np.abs(centers[:, 0] - centers[i, 0]) - side, 0.0)
+        gy = np.maximum(np.abs(centers[:, 1] - centers[i, 1]) - side, 0.0)
+        vals = np.sort(row[~(np.hypot(gx, gy) <= factor * epsilon)])[::-1]
+        if vals.size:
+            best = max(best, int((vals * np.arange(1, vals.size + 1)).max()))
+    return best / k
