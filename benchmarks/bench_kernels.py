@@ -23,6 +23,7 @@ from antipodal import kernels
 from antipodal.boundary import build_graph, discretize_boundary, max_scaled_tail
 from antipodal.generators import circle_config
 from antipodal.geometry import convex_hull
+from antipodal.harness import DEFAULT_RATIO_GRID
 
 REPEATS = 3
 
@@ -30,13 +31,15 @@ REPEATS = 3
 def _make_inputs():
     rng = np.random.default_rng(42)
     pts = rng.random((4000, 2)) - 0.5
-    hull = convex_hull(circle_config(10_000))
+    circle = circle_config(10_000)
+    hull = convex_hull(circle)
     boxing = discretize_boundary(hull, 1 / 512)
     graph = build_graph(boxing)
     graph.csr  # build the SciPy matrix outside the timings
     x = rng.random(graph.k)
     return {
         "points": pts,
+        "circle": circle.coords,
         "boxing": boxing,
         "graph": graph,
         "x": x,
@@ -48,7 +51,10 @@ def _benchmarks(data):
     graph = data["graph"]
 
     def pair_counts():
-        return kernels.pair_threshold_counts(data["points"], 0.05)
+        return kernels.pair_grid_counts(data["points"], DEFAULT_RATIO_GRID)
+
+    def diameter():
+        return kernels.max_pairwise_distance_sq(data["circle"])
 
     def adjacency():
         return kernels.box_adjacency_csr(
@@ -72,7 +78,8 @@ def _benchmarks(data):
         )
 
     return {
-        "pair counts (n=4000)": pair_counts,
+        "pair counts, 5-ε grid (n=4000)": pair_counts,
+        "diameter (circle, n=10000)": diameter,
         f"box adjacency (k={graph.k})": adjacency,
         "csr matvec x200": matvec_x200,
         f"max_scaled_tail (k={graph.k})": scaled_tail,

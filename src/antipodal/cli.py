@@ -8,7 +8,8 @@ Subcommands:
 * ``spectral``     the bound chain for a point-set file
 * ``sweep``        ratio or spectral ε sweep written as CSV
 
-Exit code 0 only when the run's asserted invariants hold.
+Exit code 0 only when the run's asserted invariants hold; bad input and
+unreadable or unwritable files exit 2 with a one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
-"""Planar primitives: pair counts at both distance thresholds, diameter,
-convex hull, boundary bands, and the neighbor/antipode ratio margin.
+"""Planar primitives: pair counts at both distance thresholds (a whole ε
+grid per cell-list pass), diameter, convex hull, boundary bands, and the
+neighbor/antipode ratio margin.
 
 Conventions used throughout the package:
 
@@ -119,23 +120,31 @@ def _check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-def pair_counts(ps: PointSet, epsilon: float) -> PairCounts:
-    """Exact brute-force counts of neighbor and antipode pairs.
+def pair_counts_grid(ps: PointSet, epsilons) -> list[PairCounts]:
+    """Exact counts of neighbor and antipode pairs at every ε of a grid, from
+    one cell-list pass over the points.
 
     neighbors = #{i<j : ||x_i - x_j|| <= epsilon},
     antipodes = #{i<j : ||x_i - x_j|| >= 1 - epsilon}.
     """
-    epsilon = _check_epsilon(epsilon)
+    eps_list = [_check_epsilon(e) for e in epsilons]
     if ps.n < 2:
         raise ValueError("pair counting needs at least two points")
-    near, far = kernels.pair_threshold_counts(ps.coords, epsilon)
     total = ps.n * (ps.n - 1) // 2
-    assert near + far <= total
-    return PairCounts(neighbors=near, antipodes=far, epsilon=epsilon)
+    out = []
+    for eps, (near, far) in zip(eps_list, kernels.pair_grid_counts(ps.coords, eps_list)):
+        assert near + far <= total
+        out.append(PairCounts(neighbors=near, antipodes=far, epsilon=eps))
+    return out
+
+
+def pair_counts(ps: PointSet, epsilon: float) -> PairCounts:
+    """Exact counts of neighbor and antipode pairs at one ε."""
+    return pair_counts_grid(ps, [epsilon])[0]
 
 
 def diameter(ps: PointSet) -> float:
-    """Maximum pairwise distance, by exhaustive comparison."""
+    """Maximum pairwise distance; exact, over the cell pairs that can hold it."""
     if ps.n < 2:
         raise ValueError("diameter needs at least two points")
     return math.sqrt(kernels.max_pairwise_distance_sq(ps.coords))
@@ -152,10 +161,10 @@ def convex_hull(ps: PointSet) -> ConvexPolygon:
     """
     if ps.n < 3:
         raise ValueError("convex hull needs at least three points")
-    pts = np.unique(ps.coords, axis=0)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if pts.shape[0] < 3:
+    # lexicographically sorted distinct rows, as Python floats: the chain's
+    # scalar arithmetic on lists runs far faster than on NumPy rows
+    pts = np.unique(ps.coords, axis=0).tolist()
+    if len(pts) < 3:
         raise DegenerateHullError("fewer than three distinct points")
 
     def half(chain_pts):

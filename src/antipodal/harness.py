@@ -19,10 +19,12 @@ import numpy as np
 from .boundary import build_graph, discretize_boundary
 from .generators import GeneratorSpec, circle_config, make_config
 from .geometry import (
+    PairCounts,
     PointSet,
     VacuousMarginError,
     convex_hull,
     pair_counts,
+    pair_counts_grid,
     ratio_margin,
 )
 from .spectral import bound_chain
@@ -81,19 +83,25 @@ def _check_ratio_grid(epsilons) -> list[float]:
 def sweep_ratio(spec: GeneratorSpec, epsilons) -> list[SweepRecord]:
     """Pair counts, ratio, and margin for one generator across an ε grid.
 
-    arc_center is regenerated at every ε (its construction consumes ε);
-    other generators are built once and reused, the point set being held
-    fixed while ε varies.
+    arc_center is regenerated and counted at every ε (its construction
+    consumes ε); other generators are built once, and the whole grid is
+    counted on that fixed point set in one pass.
     """
     eps_list = _check_ratio_grid(epsilons)
     records: list[SweepRecord] = []
     base: PointSet | None = None
+    grid: list[PairCounts] = []
     if spec.kind != "arc_center":
         base = make_config(spec)
-    for eps in eps_list:
+    for i, eps in enumerate(eps_list):
         try:
-            ps = make_config(spec, eps) if spec.kind == "arc_center" else base
-            counts = pair_counts(ps, eps)
+            if base is None:
+                ps = make_config(spec, eps)
+                counts = pair_counts(ps, eps)
+            else:
+                ps = base
+                grid = grid or pair_counts_grid(ps, eps_list)
+                counts = grid[i]
         except Exception as exc:
             raise SweepAborted(
                 f"{spec.label()} failed at eps={eps}: {exc}", records

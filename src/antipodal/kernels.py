@@ -1,19 +1,26 @@
-"""Hot numeric kernels, each with a numba ``@njit`` path and a pure-NumPy path.
+"""Hot numeric kernels.
 
-The numba path is used by default when numba imports cleanly.  Set the
-environment variable ``ANTIPODAL_DISABLE_NUMBA=1`` before import to force the
-pure-NumPy fallback (the flag is also exposed as the module global
-``USE_NUMBA`` so tests and benchmarks can flip paths at runtime).
+Pair counting and the maximum pairwise distance share one exact pure-NumPy
+engine over a uniform cell list: whole cell pairs are skipped when their
+conservative distance bounds rule them out, and every other pair is
+evaluated with the brute-force expression ``dx*dx + dy*dy``, so counts and
+maxima equal brute force exactly.  One pass counts a whole ε grid.
 
-Both paths of every kernel evaluate the same floating-point expressions in
-the same order wherever a comparison against a threshold is made, so integer
-outputs (pair counts, adjacency, occupancy grids) are identical between
-paths; float accumulations agree to roundoff.
+Box adjacency, the annuli raster, and the CSR references each have a numba
+``@njit`` path and a pure-NumPy path.  The numba path is used by default
+when numba imports cleanly.  Set the environment variable
+``ANTIPODAL_DISABLE_NUMBA=1`` before import to force the pure-NumPy fallback
+(the flag is also exposed as the module global ``USE_NUMBA`` so tests and
+benchmarks can flip paths at runtime).  Both paths evaluate the same
+floating-point expressions in the same order wherever a comparison against
+a threshold is made, so integer outputs (adjacency, occupancy grids) are
+identical between paths; float accumulations agree to roundoff.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,78 +42,147 @@ USE_NUMBA = HAVE_NUMBA and not _ENV_DISABLED
 # elements per block for the chunked NumPy paths: each float64 temporary of a
 # block is 8 MB, which bounds their peak memory at a few tens of MB
 _BLOCK_ELEMS = 1_000_000
+# the cell list's tuning: cells hold at least this many points on average,
+# and the diameter's cells are span / _DIAMETER_CELLS wide
+_MIN_FILL = 16
+_DIAMETER_CELLS = 64
 
 
 # ---------------------------------------------------------------------------
-# pair counting at the two distance thresholds
+# exact pair engine over a uniform cell list
 # ---------------------------------------------------------------------------
+# Points are bucketed into square cells of side h (Bentley, Stanat and
+# Williams 1977, fixed-radius near neighbours).  Two cells whose integer
+# offsets are (di, dj) hold only pairs whose x-gap lies in ((di-1)h, (di+1)h)
+# and whose y-gap lies in ((dj-1)h, (dj+1)h).  _SLACK widens these bounds past
+# the rounding of the cell assignment and of d2, so every computed d2 of a
+# pair of the two cells lies in [lo2, hi2].  Cell pairs whose bounds rule out
+# every threshold are skipped whole; every other pair is evaluated with the
+# brute-force expression dx*dx + dy*dy, so counts and maxima equal brute force
+# bit for bit.
 
-def _pair_counts_loop(xy, near_sq, far_sq):
+_SLACK = 1e-9
+
+
+class _Cells(NamedTuple):
+    xy: np.ndarray  # the points, sorted by cell
+    ij: np.ndarray  # (m, 2) integer coordinates of the m occupied cells
+    starts: np.ndarray  # (m + 1,) first sorted point of each cell, then n
+    side: float
+    pad: float  # absolute slack on every cell gap
+
+
+def _cells(xy, side, min_fill=1):
+    """Bucket the points into cells of the given side, doubled until the
+    occupied cells hold min_fill points on average."""
     n = xy.shape[0]
-    near = 0
-    far = 0
-    for i in range(n):
-        xi = xy[i, 0]
-        yi = xy[i, 1]
-        for j in range(i + 1, n):
-            dx = xi - xy[j, 0]
-            dy = yi - xy[j, 1]
+    lo = xy.min(axis=0)
+    span = float((xy.max(axis=0) - lo).max())
+    side = max(side, span / 2.0**20, np.finfo(float).tiny)  # keeps keys in int64
+    while True:
+        ij = np.floor((xy - lo) / side).astype(np.int64)
+        key = ij[:, 0] * (int(ij[:, 1].max()) + 1) + ij[:, 1]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        if first.shape[0] * min_fill <= n or first.shape[0] == 1:
+            break
+        side *= 2.0
+    return _Cells(np.ascontiguousarray(xy[order]), ij[order[first]],
+                  np.append(first, n), side, _SLACK * (span + side))
+
+
+def _cell_bounds(cells, a, b0=0):
+    """Squared distance bounds (lo2, hi2) from cell a to cells b0, b0+1, ..."""
+    d = np.abs(cells.ij[b0:] - cells.ij[a]).astype(np.float64)
+    lo = np.maximum(cells.side * (d - 1.0) - cells.pad, 0.0)
+    hi = cells.side * (d + 1.0) + cells.pad
+    return ((lo * lo).sum(axis=1) * (1.0 - _SLACK),
+            (hi * hi).sum(axis=1) * (1.0 + _SLACK))
+
+
+def _pair_blocks(cells, keep):
+    """Yield blocks of d2 over the pairs of each cell a with the cells b >= a
+    that keep(lo2, hi2) accepts; pairs i >= j within one cell read NaN.
+
+    A block holds one row slice of cell a against the points of all its
+    accepted cells, at most max(_BLOCK_ELEMS, n) values.
+    """
+    px = cells.xy[:, 0]
+    py = cells.xy[:, 1]
+    starts = cells.starts
+    for a in range(cells.ij.shape[0]):
+        cand = a + np.flatnonzero(keep(*_cell_bounds(cells, a, a)))
+        if cand.shape[0] == 0:
+            continue
+        cnt = starts[cand + 1] - starts[cand]
+        cols = np.repeat(starts[cand] - (np.cumsum(cnt) - cnt), cnt)
+        cols += np.arange(cols.shape[0])
+        cx = px[cols]
+        cy = py[cols]
+        r0, r1 = starts[a], starts[a + 1]
+        own = cnt[0] if cand[0] == a else 0
+        rows = max(1, _BLOCK_ELEMS // cols.shape[0])
+        for i0 in range(r0, r1, rows):
+            i1 = min(r1, i0 + rows)
+            dx = px[i0:i1, None] - cx[None, :]
+            dy = py[i0:i1, None] - cy[None, :]
             d2 = dx * dx + dy * dy
-            if d2 <= near_sq:
-                near += 1
-            if d2 >= far_sq:
-                far += 1
-    return near, far
+            if own:
+                tri = np.arange(own)[None, :] <= np.arange(i0 - r0, i1 - r0)[:, None]
+                d2[:, :own][tri] = np.nan
+            yield d2
 
 
-def _pair_counts_numpy(xy, near_sq, far_sq):
+def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
+    """(near, far) pair counts for every epsilon of a grid, in one pass.
+
+    near = #{i<j : d2 <= eps*eps}, far = #{i<j : d2 >= (1-eps)*(1-eps)}.
+    """
+    near_sq = [e * e for e in epsilons]
+    far_sq = [(1.0 - e) * (1.0 - e) for e in epsilons]
+    near = [0] * len(near_sq)
+    far = [0] * len(far_sq)
+    if xy.shape[0] < 2 or not near_sq:
+        return list(zip(near, far))
+    near_max = max(near_sq)
+    far_min = min(far_sq)
+    cells = _cells(xy, 0.5 * max(epsilons), _MIN_FILL)
+    for d2 in _pair_blocks(cells, lambda lo2, hi2: (lo2 <= near_max) | (hi2 >= far_min)):
+        sub = d2[d2 <= near_max]
+        for e, t in enumerate(near_sq):
+            near[e] += int(np.count_nonzero(sub <= t))
+        sub = d2[d2 >= far_min]
+        for e, t in enumerate(far_sq):
+            far[e] += int(np.count_nonzero(sub >= t))
+    return list(zip(near, far))
+
+
+def pair_threshold_counts(xy: np.ndarray, epsilon: float) -> tuple[int, int]:
+    """Count unordered pairs at distance <= epsilon and >= 1 - epsilon."""
+    return pair_grid_counts(xy, [epsilon])[0]
+
+
+def max_pairwise_distance_sq(xy: np.ndarray) -> float:
+    """Largest d2 over all pairs, evaluated only on cell pairs that can hold it.
+
+    L, the largest d2 among one representative point per cell, is a lower
+    bound; a cell pair whose upper bound is below L cannot hold the maximum.
+    """
     n = xy.shape[0]
-    block = max(1, _BLOCK_ELEMS // max(n, 1))
-    cols = np.arange(n)
-    near = 0
-    far = 0
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        dx = xy[i0:i1, 0:1] - xy[None, :, 0]
-        dy = xy[i0:i1, 1:2] - xy[None, :, 1]
-        d2 = dx * dx + dy * dy
-        upper = cols[None, :] > np.arange(i0, i1)[:, None]
-        near += int(np.count_nonzero((d2 <= near_sq) & upper))
-        far += int(np.count_nonzero((d2 >= far_sq) & upper))
-    return near, far
-
-
-# ---------------------------------------------------------------------------
-# maximum pairwise squared distance
-# ---------------------------------------------------------------------------
-
-def _max_dist_sq_loop(xy):
-    n = xy.shape[0]
+    if n < 2:
+        return 0.0
+    span = float(np.ptp(xy, axis=0).max())
+    cells = _cells(xy, span / _DIAMETER_CELLS, _MIN_FILL)
+    reps = cells.xy[cells.starts[:-1]]
     best = 0.0
-    for i in range(n):
-        xi = xy[i, 0]
-        yi = xy[i, 1]
-        for j in range(i + 1, n):
-            dx = xi - xy[j, 0]
-            dy = yi - xy[j, 1]
-            d2 = dx * dx + dy * dy
-            if d2 > best:
-                best = d2
-    return best
-
-
-def _max_dist_sq_numpy(xy):
-    n = xy.shape[0]
-    block = max(1, _BLOCK_ELEMS // max(n, 1))
-    best = 0.0
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        dx = xy[i0:i1, 0:1] - xy[None, :, 0]
-        dy = xy[i0:i1, 1:2] - xy[None, :, 1]
-        d2 = dx * dx + dy * dy
-        m = float(d2.max())
-        if m > best:
-            best = m
+    block = max(1, _BLOCK_ELEMS // reps.shape[0])
+    for i0 in range(0, reps.shape[0], block):
+        dx = reps[i0 : i0 + block, 0:1] - reps[None, :, 0]
+        dy = reps[i0 : i0 + block, 1:2] - reps[None, :, 1]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    for d2 in _pair_blocks(cells, lambda lo2, hi2, low=best: hi2 >= low):
+        best = max(best, float(np.fmax.reduce(d2, axis=None)))
     return best
 
 
@@ -264,8 +340,6 @@ def _common_counts_numpy(indptr, indices, rows, k, i):
 
 
 if HAVE_NUMBA:
-    _pair_counts_nb = njit(cache=True)(_pair_counts_loop)
-    _max_dist_sq_nb = njit(cache=True)(_max_dist_sq_loop)
     _box_adjacency_nb = njit(cache=True)(_box_adjacency_loop)
     _occupancy_nb = njit(cache=True)(_occupancy_loop)
     _csr_matvec_nb = njit(cache=True)(_csr_matvec_loop)
@@ -275,23 +349,6 @@ if HAVE_NUMBA:
 # ---------------------------------------------------------------------------
 # dispatchers
 # ---------------------------------------------------------------------------
-
-def pair_threshold_counts(xy: np.ndarray, epsilon: float) -> tuple[int, int]:
-    """Count unordered pairs at distance <= epsilon and >= 1 - epsilon."""
-    near_sq = epsilon * epsilon
-    far = 1.0 - epsilon
-    far_sq = far * far
-    if USE_NUMBA:
-        near, anti = _pair_counts_nb(xy, near_sq, far_sq)
-        return int(near), int(anti)
-    return _pair_counts_numpy(xy, near_sq, far_sq)
-
-
-def max_pairwise_distance_sq(xy: np.ndarray) -> float:
-    if USE_NUMBA:
-        return float(_max_dist_sq_nb(xy))
-    return _max_dist_sq_numpy(xy)
-
 
 def box_adjacency_csr(cx, cy, side: float, epsilon: float):
     """CSR (indptr, indices) of the box graph: i~j iff max box distance >= 1 - eps."""

@@ -97,3 +97,19 @@ def test_sweep_rejects_bad_grid(tmp_path):
          "1.5", "--eps-count", "3", "--out", str(tmp_path / "x.csv")]
     )
     assert rc == 2
+
+
+def test_missing_points_file_is_error(tmp_path, capsys):
+    rc = main(["graph-stats", "--points", str(tmp_path / "absent.txt"),
+               "--epsilon", "0.02"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_gen_into_missing_directory_is_error(tmp_path, capsys):
+    rc = main(["gen", "--kind", "circle", "--n", "16",
+               "--out", str(tmp_path / "no" / "such" / "dir.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,0 +1,158 @@
+"""The cell-list pair engine is exact: every count equals brute force, ties
+at both inclusive thresholds included, the maximum pairwise distance is the
+identical float, and neither depends on the ε grid it is counted with or on
+the block size."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antipodal import (
+    PairCounts,
+    PointSet,
+    diameter,
+    pair_counts,
+    pair_counts_grid,
+    random_disk_config,
+    reuleaux_boundary_config,
+)
+from antipodal import kernels
+from antipodal.harness import DEFAULT_RATIO_GRID
+
+from oracles import diameter_brute, pair_counts_brute
+
+
+def _brute_grid(points, epsilons):
+    return [PairCounts(*pair_counts_brute(points, e), e) for e in epsilons]
+
+
+def _dense_d2(xy):
+    """d2 of every pair i<j by the brute-force expression dx*dx + dy*dy."""
+    i, j = np.triu_indices(xy.shape[0], 1)
+    dx = xy[i, 0] - xy[j, 0]
+    dy = xy[i, 1] - xy[j, 1]
+    return dx * dx + dy * dy
+
+
+# coordinates on the lattice k/64 in [0, 1.25]; the coarse multiples of 4/64
+# make exact distances 1/16 and 15/16 common, the ties at ε = 1/16
+_coord = st.one_of(st.integers(0, 20).map(lambda k: 4 * k), st.integers(0, 80))
+lattice_points = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=40).map(
+    lambda pts: [(a / 64, b / 64) for a, b in pts]
+)
+lattice_grids = st.sets(st.integers(1, 31), max_size=4).map(
+    lambda ks: sorted({k / 64 for k in ks} | {1 / 16}, reverse=True)
+)
+
+
+@given(lattice_points, lattice_grids)
+@settings(max_examples=150, deadline=None)
+def test_lattice_counts_and_diameter_match_brute_force(points, epsilons):
+    ps = PointSet.from_points(points)
+    assert pair_counts_grid(ps, epsilons) == _brute_grid(points, epsilons)
+    assert diameter(ps) == diameter_brute(points)
+
+
+def test_exact_ties_at_both_thresholds_count():
+    # three pairs at exactly 1/16; four at exactly 15/16 (on an axis or a
+    # 9-12-15 triangle) and one beyond it
+    points = [(0.0, 0.0), (1 / 16, 0.0), (15 / 16, 0.0), (9 / 16, 12 / 16),
+              (1 / 16, 1 / 16), (1.0, 0.0)]
+    counts = pair_counts(PointSet.from_points(points), 1 / 16)
+    assert (counts.neighbors, counts.antipodes) == pair_counts_brute(points, 1 / 16)
+    assert (counts.neighbors, counts.antipodes) == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # a single occupied cell
+        [(0.001 * i, 0.002 * (i % 3)) for i in range(12)],
+        # two points, at each threshold and between them
+        [(0.0, 0.0), (0.05, 0.0)],
+        [(0.0, 0.0), (0.0, 0.95)],
+        [(0.2, 0.3), (0.5, 0.7)],
+        # coincident points
+        [(0.25, 0.25)] * 5,
+        # collinear points
+        [(i / 40, 0.5 * i / 40) for i in range(50)],
+        [(0.0, i / 64) for i in range(70)],
+        # a set wider than 1
+        [(3.0 * math.cos(t), 0.4 * math.sin(3 * t)) for t in np.linspace(0, 6.0, 90)],
+    ],
+    ids=["one-cell", "two-near", "two-far", "two-between", "coincident",
+         "collinear-slope", "collinear-axis", "wider-than-1"],
+)
+def test_small_and_degenerate_sets_match_brute_force(points):
+    ps = PointSet.from_points(points)
+    epsilons = [0.3, 0.1, 0.05, 0.01]
+    assert pair_counts_grid(ps, epsilons) == _brute_grid(ps.points, epsilons)
+    d2 = _dense_d2(ps.coords)
+    assert kernels.max_pairwise_distance_sq(ps.coords) == float(d2.max())
+    assert diameter(ps) == pytest.approx(diameter_brute(ps.points), rel=1e-15)
+
+
+@pytest.mark.parametrize("ps", [random_disk_config(700, seed=3),
+                                reuleaux_boundary_config(700, seed=4)],
+                         ids=["disk", "reuleaux"])
+def test_grid_equals_one_call_per_epsilon(ps):
+    grid = pair_counts_grid(ps, DEFAULT_RATIO_GRID)
+    assert grid == [pair_counts(ps, e) for e in DEFAULT_RATIO_GRID]
+    d2 = _dense_d2(ps.coords)
+    assert [(c.neighbors, c.antipodes) for c in grid] == [
+        (int(np.count_nonzero(d2 <= e * e)),
+         int(np.count_nonzero(d2 >= (1.0 - e) * (1.0 - e))))
+        for e in DEFAULT_RATIO_GRID
+    ]
+    assert kernels.max_pairwise_distance_sq(ps.coords) == float(d2.max())
+
+
+def _block_outputs():
+    rng = np.random.default_rng(5)
+    xy = np.vstack([rng.random((300, 2)) - 0.5,
+                    reuleaux_boundary_config(300, seed=6).coords])
+    return (kernels.pair_grid_counts(xy, (0.3, 0.08, 0.02)),
+            kernels.max_pairwise_distance_sq(xy))
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, 123_457])
+def test_block_size_does_not_change_counts_or_diameter(monkeypatch, block_elems):
+    counts, dmax = _block_outputs()
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    assert _block_outputs() == (counts, dmax)
+
+
+def test_cell_bounds_hold_every_pair_at_cell_edges():
+    """Points placed on cell edges and nudged by a few ulps, where the
+    rounded cell assignment can be off by one: every computed d2 of a pair
+    still lies inside the bounds of its two cells."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        side = float(rng.choice([0.1, 0.16, 0.03, 1 / 3, 0.07, 0.2]))
+        x0 = float(rng.choice([0.0, 0.1, -0.3, 1e3 + 0.1, 0.7]))
+        xy = x0 + rng.integers(0, 12, (60, 2)) * side
+        for step in rng.integers(-1, 2, (3,) + xy.shape):
+            xy = np.where(step == 0, xy, np.nextafter(xy, np.copysign(np.inf, step)))
+        cells = kernels._cells(xy, side)
+        cell_of = np.repeat(np.arange(cells.ij.shape[0]), np.diff(cells.starts))
+        p = cells.xy
+        for a in range(cells.ij.shape[0]):
+            lo2, hi2 = kernels._cell_bounds(cells, a)
+            mine = cell_of == a
+            dx = p[mine, 0][:, None] - p[:, 0][None, :]
+            dy = p[mine, 1][:, None] - p[:, 1][None, :]
+            d2 = dx * dx + dy * dy
+            assert (lo2[cell_of] <= d2).all() and (d2 <= hi2[cell_of]).all()
+
+
+def test_grid_validation():
+    ps = PointSet.from_points([(0.0, 0.0), (1.0, 0.0)])
+    for eps in (0.0, 0.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            pair_counts_grid(ps, [0.1, eps])
+    with pytest.raises(ValueError):
+        pair_counts_grid(PointSet.from_points([(0.0, 0.0)]), [0.1])
+    assert pair_counts_grid(ps, []) == []
