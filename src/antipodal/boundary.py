@@ -25,8 +25,6 @@ import numpy as np
 from . import kernels
 from .geometry import ConvexPolygon, Point
 
-DENSE_LIMIT = 4096
-
 
 class IsolatedVertexError(ValueError):
     """The requested vertex has no neighbors."""
@@ -125,10 +123,9 @@ def box_min_distance(a: Box, b: Box) -> float:
 class AntipodalGraph:
     """Symmetric 0/1 box adjacency with degrees and edge count.
 
-    Neighbor lists (CSR, sorted) are always kept; a dense uint8 matrix is
-    also stored for k <= 4096.  Both representations answer degree and
-    common-neighbor queries identically.  Products with a vector go through
-    a SciPy ``csr_array`` of the same lists, built on first use.
+    The graph is stored as sorted neighbor lists (CSR) only.  Products with
+    a vector go through a SciPy ``csr_array`` of the same lists, built on
+    first use; `adjacency` builds a dense uint8 matrix on each access.
     """
 
     k: int
@@ -136,16 +133,11 @@ class AntipodalGraph:
     indices: np.ndarray
     degrees: np.ndarray = field(init=False)
     edge_count: int = field(init=False)
-    dense: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         deg = np.diff(self.indptr).astype(np.int64)
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "edge_count", int(deg.sum()) // 2)
-        if self.k <= DENSE_LIMIT:
-            dense = np.zeros((self.k, self.k), dtype=np.uint8)
-            dense[self.row_index, self.indices] = 1
-            object.__setattr__(self, "dense", dense)
 
     @cached_property
     def row_index(self) -> np.ndarray:
@@ -162,8 +154,6 @@ class AntipodalGraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
         dense = np.zeros((self.k, self.k), dtype=np.uint8)
         dense[self.row_index, self.indices] = 1
         return dense

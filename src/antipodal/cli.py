@@ -146,16 +146,10 @@ def _cmd_sweep(args) -> int:
             for r in records
         )
         return 0 if ok else 1
+    # bound_chain raises (exit 2) when the ordering invariant fails
     records = harness.sweep_spectral(eps_grid)
     harness.write_csv(args.out, harness.spectral_csv_rows(records))
-    slack = 1.0 + 1e-9
-    ok = all(
-        r.lambda1 <= r.cw * slack
-        and r.cw <= r.sqrtdeg * slack
-        and r.sqrtdeg <= r.trace * slack
-        for r in records
-    )
-    return 0 if ok else 1
+    return 0
 
 
 def main(argv=None) -> int:

@@ -6,15 +6,21 @@ conservative distance bounds rule them out, and every other pair is
 evaluated with the brute-force expression ``dx*dx + dy*dy``, so counts and
 maxima equal brute force exactly.  One pass counts a whole ε grid.
 
-Box adjacency, the annuli raster, and the CSR references each have a numba
-``@njit`` path and a pure-NumPy path.  The numba path is used by default
-when numba imports cleanly.  Set the environment variable
+Box adjacency is one exact pure-NumPy path: boxes are cut into chunks of
+consecutive indices, a chunk pair is skipped when the adjacency expression
+on the chunks' bounding boxes stays below the threshold, and every other
+pair is evaluated with that expression, so the CSR equals the full k×k
+evaluation entry for entry.
+
+The annuli raster and the CSR references each have a numba ``@njit`` path
+and a pure-NumPy path.  The numba path is used by default when numba
+imports cleanly.  Set the environment variable
 ``ANTIPODAL_DISABLE_NUMBA=1`` before import to force the pure-NumPy fallback
 (the flag is also exposed as the module global ``USE_NUMBA`` so tests and
 benchmarks can flip paths at runtime).  Both paths evaluate the same
 floating-point expressions in the same order wherever a comparison against
-a threshold is made, so integer outputs (adjacency, occupancy grids) are
-identical between paths; float accumulations agree to roundoff.
+a threshold is made, so integer outputs (occupancy grids) are identical
+between paths; float accumulations agree to roundoff.
 """
 
 from __future__ import annotations
@@ -190,53 +196,46 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 # antipodal adjacency over equal axis-aligned boxes (CSR)
 # ---------------------------------------------------------------------------
 # For two axis-aligned squares of side s the maximum point-to-point distance
-# is hypot(|dcx| + s, |dcy| + s), attained at corners.
+# is hypot(|dcx| + s, |dcy| + s), attained at corners.  Boxes i ~ j when
+# (|dx| + s)**2 + (|dy| + s)**2 >= (1 - eps)**2, evaluated without hypot.
+#
+# The boxes are cut, in their given order, into chunks of consecutive boxes.
+# A chunk pair is evaluated only when the same expression on the chunks'
+# bounding boxes reaches the threshold.  Correctly rounded -, + and * (the
+# last on non-negative operands) are monotone and fl(|a - b|) = |fl(a - b)|,
+# so that bound is at least the computed d2 of every pair of the two chunks:
+# a skipped chunk pair holds no edge, on any input, with no slack.  The order
+# decides only how much is pruned; arc-length order along a convex boundary
+# keeps a few times nnz pairs of the k**2.
 
-def _box_adjacency_loop(cx, cy, side, eps):
+def box_adjacency_csr(cx, cy, side: float, epsilon: float):
+    """CSR (indptr, indices) of the box graph: i~j iff max box distance >= 1 - eps."""
     k = cx.shape[0]
-    thr2 = (1.0 - eps) * (1.0 - eps)
-    counts = np.zeros(k, np.int64)
-    for i in range(k):
-        c = 0
-        for j in range(k):
-            if i == j:
-                continue
-            dx = abs(cx[i] - cx[j]) + side
-            dy = abs(cy[i] - cy[j]) + side
-            if dx * dx + dy * dy >= thr2:
-                c += 1
-        counts[i] = c
-    indptr = np.zeros(k + 1, np.int64)
-    for i in range(k):
-        indptr[i + 1] = indptr[i] + counts[i]
-    indices = np.empty(indptr[k], np.int64)
-    for i in range(k):
-        p = indptr[i]
-        for j in range(k):
-            if i == j:
-                continue
-            dx = abs(cx[i] - cx[j]) + side
-            dy = abs(cy[i] - cy[j]) + side
-            if dx * dx + dy * dy >= thr2:
-                indices[p] = j
-                p += 1
-    return indptr, indices
-
-
-def _box_adjacency_numpy(cx, cy, side, eps):
-    k = cx.shape[0]
-    thr2 = (1.0 - eps) * (1.0 - eps)
-    block = max(1, _BLOCK_ELEMS // max(k, 1))
+    thr2 = (1.0 - epsilon) * (1.0 - epsilon)
+    size = min(32, max(1, _BLOCK_ELEMS // max(k, 1)))
+    starts = np.arange(0, k, size)
+    xmin = np.minimum.reduceat(cx, starts)
+    xmax = np.maximum.reduceat(cx, starts)
+    ymin = np.minimum.reduceat(cy, starts)
+    ymax = np.maximum.reduceat(cy, starts)
+    span = np.arange(size)
     indptr = np.zeros(k + 1, np.int64)
     chunks = []
-    for i0 in range(0, k, block):
-        i1 = min(k, i0 + block)
-        dx = np.abs(cx[i0:i1, None] - cx[None, :]) + side
-        dy = np.abs(cy[i0:i1, None] - cy[None, :]) + side
+    for a, i0 in enumerate(starts):
+        ux = np.maximum(xmax - xmin[a], xmax[a] - xmin) + side
+        uy = np.maximum(ymax - ymin[a], ymax[a] - ymin) + side
+        kept = starts[ux * ux + uy * uy >= thr2]
+        if kept.shape[0] == 0:
+            continue
+        cols = (kept[:, None] + span).ravel()
+        cols = cols[cols < k]
+        i1 = min(k, i0 + size)
+        dx = np.abs(cx[i0:i1, None] - cx[cols]) + side
+        dy = np.abs(cy[i0:i1, None] - cy[cols]) + side
         adj = dx * dx + dy * dy >= thr2
-        adj[np.arange(i1 - i0), np.arange(i0, i1)] = False
-        rows, cols = np.nonzero(adj)
-        chunks.append(cols.astype(np.int64))
+        adj &= cols != np.arange(i0, i1)[:, None]
+        rows, pos = np.nonzero(adj)
+        chunks.append(cols[pos])
         indptr[i0 + 1 : i1 + 1] = np.bincount(rows, minlength=i1 - i0)
     indices = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
     np.cumsum(indptr, out=indptr)
@@ -340,7 +339,6 @@ def _common_counts_numpy(indptr, indices, rows, k, i):
 
 
 if HAVE_NUMBA:
-    _box_adjacency_nb = njit(cache=True)(_box_adjacency_loop)
     _occupancy_nb = njit(cache=True)(_occupancy_loop)
     _csr_matvec_nb = njit(cache=True)(_csr_matvec_loop)
     _common_counts_nb = njit(cache=True)(_common_counts_loop)
@@ -349,13 +347,6 @@ if HAVE_NUMBA:
 # ---------------------------------------------------------------------------
 # dispatchers
 # ---------------------------------------------------------------------------
-
-def box_adjacency_csr(cx, cy, side: float, epsilon: float):
-    """CSR (indptr, indices) of the box graph: i~j iff max box distance >= 1 - eps."""
-    if USE_NUMBA:
-        return _box_adjacency_nb(cx, cy, side, epsilon)
-    return _box_adjacency_numpy(cx, cy, side, epsilon)
-
 
 def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
     """Boolean occupancy grid of the annuli intersection over the cell window."""

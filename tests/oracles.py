@@ -127,6 +127,26 @@ def box_graph_brute(centers, side, eps):
     return adj
 
 
+def box_adjacency_brute(cx, cy, side, eps):
+    """CSR (indptr, indices) of the box graph over the full k x k grid.
+
+    Evaluates the package's corner expression (|dx| + s)**2 + (|dy| + s)**2
+    >= (1 - eps)**2 for every ordered pair i != j; `box_graph_brute` takes
+    hypot of the 16 corner differences instead, which can round the other
+    way at an exact tie.
+    """
+    cx = np.asarray(cx, dtype=np.float64)
+    cy = np.asarray(cy, dtype=np.float64)
+    k = cx.shape[0]
+    dx = np.abs(cx[:, None] - cx[None, :]) + side
+    dy = np.abs(cy[:, None] - cy[None, :]) + side
+    adj = dx * dx + dy * dy >= (1.0 - eps) * (1.0 - eps)
+    np.fill_diagonal(adj, False)
+    indptr = np.zeros(k + 1, np.int64)
+    indptr[1:] = np.cumsum(adj.sum(axis=1))
+    return indptr, np.nonzero(adj)[1].astype(np.int64)
+
+
 def common_neighbors_brute(adj, i, j):
     return len(adj[i] & adj[j])
 

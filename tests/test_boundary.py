@@ -157,11 +157,12 @@ def test_graph_degree_arc_relation(circle64):
 
 def test_dense_and_csr_agree(circle64):
     _, g = circle64
-    assert g.dense is not None
-    assert np.array_equal(np.asarray(g.dense.sum(axis=1), dtype=np.int64), g.degrees)
+    dense = g.adjacency
+    assert dense.dtype == np.uint8 and dense.shape == (g.k, g.k)
+    assert np.array_equal(np.asarray(dense.sum(axis=1), dtype=np.int64), g.degrees)
     for i in (0, 5, 101):
         row = common_neighbor_row(g, i)
-        dense_row = (g.dense.astype(np.int64) @ g.dense[i].astype(np.int64))
+        dense_row = (dense.astype(np.int64) @ dense[i].astype(np.int64))
         assert np.array_equal(row, dense_row)
 
 

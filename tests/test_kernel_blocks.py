@@ -1,10 +1,13 @@
 """The row-block size of the NumPy kernels caps their temporaries only: any
-block size gives the same integers and floats."""
+block size gives the same integers and floats.  The block sizes below put 1,
+2 and 32 boxes in each box-adjacency chunk."""
 
 import numpy as np
 import pytest
 
 from antipodal import circle_config, convex_hull, discretize_boundary, kernels
+
+from oracles import box_adjacency_brute
 
 
 def _outputs():
@@ -14,6 +17,9 @@ def _outputs():
     cx = boxing.centers[:, 0].copy()
     cy = boxing.centers[:, 1].copy()
     indptr, indices = kernels.box_adjacency_csr(cx, cy, boxing.side, boxing.epsilon)
+    b_indptr, b_indices = box_adjacency_brute(cx, cy, boxing.side, boxing.epsilon)
+    assert np.array_equal(indptr, b_indptr)
+    assert np.array_equal(indices, b_indices)
     counts = [kernels.pair_threshold_counts(xy, eps) for eps in (0.02, 0.1, 0.3)]
     return indptr, indices, counts, kernels.max_pairwise_distance_sq(xy)
 
