@@ -1,7 +1,8 @@
 """Wall-clock comparison of the numba kernels against the pure-NumPy fallback.
 
 Runs every hot kernel on acceptance-scale inputs under both paths and prints
-a table with the speedup.  The numba path gets one unmeasured warm-up call so
+a table with the speedup.  Kernels with a single NumPy path read the same in
+both columns.  The numba path gets one unmeasured warm-up call so
 JIT compilation is excluded from the timings.
 
 Run:
@@ -13,7 +14,9 @@ row times `AntipodalGraph.matvec`, the SciPy product the package runs, and the
 "max_scaled_tail" row times the tail constant from row blocks of the sparse
 product A·A, so both read the same under both paths, as does the "box
 adjacency" row: one NumPy path on the spectral sweep's largest graph (circle,
-ε = 1/1024, k = 6434).
+ε = 1/1024, k = 6434).  The "annuli occupancy" rows time the bisected 8×8
+sampled occupancy grid on a 641×25-cell window and on the cover window at
+d = 4e-4, ε = 1e-4 (10002×639 cells).
 """
 
 import statistics
@@ -22,6 +25,7 @@ import time
 import numpy as np
 
 from antipodal import kernels
+from antipodal.annuli import AnnulusPairConfig, occupancy_grid
 from antipodal.boundary import build_graph, discretize_boundary, max_scaled_tail
 from antipodal.generators import circle_config
 from antipodal.geometry import convex_hull
@@ -76,10 +80,13 @@ def _benchmarks(data):
     def scaled_tail():
         return max_scaled_tail(boxing, graph)
 
-    def raster():
+    def occupancy():
         return kernels.annuli_occupancy_grid(
             0.05, 1 - 0.005, 1.0, 0.0025, -320, 320, 380, 404, 8
         )
+
+    def occupancy_small_eps():
+        return occupancy_grid(AnnulusPairConfig(d=4e-4, epsilon=1e-4))
 
     return {
         "pair counts, 5-ε grid (n=4000)": pair_counts,
@@ -87,7 +94,8 @@ def _benchmarks(data):
         f"box adjacency (k={big.k})": adjacency,
         "csr matvec x200": matvec_x200,
         f"max_scaled_tail (k={graph.k})": scaled_tail,
-        "annuli raster (d=0.05)": raster,
+        "annuli occupancy (d=0.05)": occupancy,
+        "annuli occupancy (d=4e-4, ε=1e-4)": occupancy_small_eps,
     }
 
 

@@ -1,12 +1,14 @@
 """Thin-annuli intersection geometry: closed-form vertices, spans, and
-rasterized box-cover counts.
+sampled box-cover counts.
 
 Two congruent annuli with inner radius 1 - eps and outer radius 1 are placed
 with centers (-d/2, 0) and (d/2, 0).  For 4*eps <= d <= 1 their intersection
 is two mirror-image curvilinear quadrilaterals; all operations here work on
 the upper one.  The region is represented implicitly by the membership
-predicate "inside both annuli" plus its four corner vertices; every area or
-cover question goes through rasterization rather than arc-polygon clipping.
+predicate "inside both annuli" plus its four corner vertices; a cover counts
+the ε/2 cells with an interior sample point inside both annuli (res x res
+samples per cell), rather than clipping arc polygons.  `kernels` finds each
+sample column's inside samples by bisection, since they form one run.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ def occupancy_grid(cfg: AnnulusPairConfig, resolution: int = 8) -> np.ndarray:
 
 def cover_count(cfg: AnnulusPairConfig, resolution: int = 8) -> int:
     """Number of ε/2 x ε/2 grid cells (anchored at the origin) meeting the
-    upper intersection region, by 8x8-per-cell membership sampling."""
+    upper intersection region, by resolution x resolution membership samples
+    per cell (8 x 8 by default).  A cell the region meets only between its
+    samples is not counted, so the count can fall short of the true cover."""
     return int(occupancy_grid(cfg, resolution).sum())
 
 
@@ -186,8 +190,8 @@ def thickened_cover_count(d: float, epsilon: float, resolution: int = 8) -> int:
 
     The thickened annuli have inner radius 1 - 2*eps and outer radius
     1 + eps (they contain every annulus of radii [1-eps, 1] whose center
-    lies in an eps/2 box at the respective center).  Rasterization is the
-    same origin-anchored ε/2 grid used by cover_count.
+    lies in an eps/2 box at the respective center).  Cells are sampled on
+    the same origin-anchored ε/2 grid used by cover_count.
     """
     d = float(d)
     epsilon = float(epsilon)

@@ -12,15 +12,18 @@ on the chunks' bounding boxes stays below the threshold, and every other
 pair is evaluated with that expression, so the CSR equals the full k×k
 evaluation entry for entry.
 
-The annuli raster and the CSR references each have a numba ``@njit`` path
-and a pure-NumPy path.  The numba path is used by default when numba
-imports cleanly.  Set the environment variable
-``ANTIPODAL_DISABLE_NUMBA=1`` before import to force the pure-NumPy fallback
-(the flag is also exposed as the module global ``USE_NUMBA`` so tests and
-benchmarks can flip paths at runtime).  Both paths evaluate the same
-floating-point expressions in the same order wherever a comparison against
-a threshold is made, so integer outputs (occupancy grids) are identical
-between paths; float accumulations agree to roundoff.
+The annuli occupancy grid is one exact pure-NumPy path: each sample column's
+inside samples form one run of sample rows, found by bisection with the
+membership expressions the full res x res evaluation would use, so the grid
+equals that evaluation cell for cell.
+
+The CSR references each have a numba ``@njit`` path and a pure-NumPy path.
+The numba path is used by default when numba imports cleanly.  Set the
+environment variable ``ANTIPODAL_DISABLE_NUMBA=1`` before import to force the
+pure-NumPy fallback (the flag is also exposed as the module global
+``USE_NUMBA`` so tests and benchmarks can flip paths at runtime).  The two
+paths agree exactly on integer outputs and to roundoff on float
+accumulations.
 """
 
 from __future__ import annotations
@@ -243,45 +246,42 @@ def box_adjacency_csr(cx, cy, side: float, epsilon: float):
 
 
 # ---------------------------------------------------------------------------
-# rasterized occupancy of a two-annuli intersection
+# sampled occupancy of a two-annuli intersection
 # ---------------------------------------------------------------------------
 # Grid of the given pitch anchored at the origin; cell (ix, iy) is occupied
 # when any of its res x res interior sample points lies inside both annuli
-# (centers (-d/2, 0) and (d/2, 0), radii [r_in, r_out]).
+# (centers (-d/2, 0) and (d/2, 0), radii [r_in, r_out]): with a2 = xa*xa + y*y
+# and b2 = xb*xb + y*y, ri2 <= a2 <= ro2 and ri2 <= b2 <= ro2.
+#
+# The inside samples of a sample column x form one run of sample rows per sign
+# of y, so each column is bisected instead of evaluated at every row.  Why: the
+# sample ordinates ys do not decrease with the sample-row index (rounding is
+# monotone), so the rows with y < 0 come first.  Over the rows with y >= 0,
+# fl(y*y) does not decrease, and neither does fl(xa2 + y2) for a fixed xa2; so
+# "a2 >= ri2 and b2 >= ri2" holds on a suffix of those rows and
+# "a2 <= ro2 and b2 <= ro2" on a prefix, and the inside samples are one run
+# [lo, hi), possibly empty.  The rows with y < 0 (only when iy0 < 0) form a
+# second such segment once read in reverse, since fl((-y)*(-y)) == fl(y*y).
+# The bisection evaluates the same expressions, so the grid equals the full
+# res x res evaluation bit for bit.
 
-def _occupancy_loop(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res):
-    ncol = ix1 - ix0 + 1
-    nrow = iy1 - iy0 + 1
-    hx = 0.5 * d
-    ri2 = r_in * r_in
-    ro2 = r_out * r_out
-    occ = np.zeros((nrow, ncol), np.bool_)
-    for r in range(nrow):
-        iy = iy0 + r
-        for c in range(ncol):
-            ix = ix0 + c
-            hit = False
-            for my in range(res):
-                y = (iy + (my + 0.5) / res) * pitch
-                y2 = y * y
-                for mx in range(res):
-                    x = (ix + (mx + 0.5) / res) * pitch
-                    xa = x + hx
-                    xb = x - hx
-                    a2 = xa * xa + y2
-                    if a2 < ri2 or a2 > ro2:
-                        continue
-                    b2 = xb * xb + y2
-                    if ri2 <= b2 <= ro2:
-                        hit = True
-                        break
-                if hit:
-                    break
-            occ[r, c] = hit
-    return occ
+def _first_true(pred, n, m):
+    """Per column, the first of the n rows where the monotone pred(rows) holds
+    (false on a prefix, true on the rest), or n if it never does; m columns."""
+    lo = np.zeros(m, np.int64)
+    hi = np.full(m, n, np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        active = lo < hi
+        hit = pred(np.minimum(mid, n - 1))
+        hi = np.where(active & hit, mid, hi)
+        lo = np.where(active & ~hit, mid + 1, lo)
+    return lo
 
 
-def _occupancy_numpy(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res):
+def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
+    """Boolean occupancy grid of the annuli intersection over the cell window."""
+    ix0, ix1, iy0, iy1, res = int(ix0), int(ix1), int(iy0), int(iy1), int(res)
     ncol = ix1 - ix0 + 1
     nrow = iy1 - iy0 + 1
     sub = (np.arange(res) + 0.5) / res
@@ -292,11 +292,34 @@ def _occupancy_numpy(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res):
     ro2 = r_out * r_out
     xa = xs + hx
     xb = xs - hx
-    y2 = (ys * ys)[:, None]
-    a2 = (xa * xa)[None, :] + y2
-    b2 = (xb * xb)[None, :] + y2
-    inside = (a2 >= ri2) & (a2 <= ro2) & (b2 >= ri2) & (b2 <= ro2)
-    return inside.reshape(nrow, res, ncol, res).any(axis=(1, 3))
+    xa2 = xa * xa
+    xb2 = xb * xb
+    y2 = ys * ys
+    neg = int(np.count_nonzero(ys < 0.0))
+    col = np.arange(ncol * res) // res
+    starts = []
+    stops = []
+    # each segment: its sample rows in order of non-decreasing y2
+    for rows in (np.arange(neg, ys.shape[0]), np.arange(neg - 1, -1, -1)):
+        n = rows.shape[0]
+        seg = y2[rows]
+
+        def above_inner(t):
+            return (xa2 + seg[t] >= ri2) & (xb2 + seg[t] >= ri2)
+
+        def outside_outer(t):
+            return ~((xa2 + seg[t] <= ro2) & (xb2 + seg[t] <= ro2))
+
+        lo = _first_true(above_inner, n, xs.shape[0])
+        hi = _first_true(outside_outer, n, xs.shape[0])
+        run = lo < hi
+        ends = rows[np.stack([lo[run], hi[run] - 1])] // res
+        starts.append(ends.min(axis=0) * ncol + col[run])
+        stops.append((ends.max(axis=0) + 1) * ncol + col[run])
+    diff = np.zeros((nrow + 1) * ncol, np.int32)
+    np.add.at(diff, np.concatenate(starts), 1)
+    np.add.at(diff, np.concatenate(stops), -1)
+    return np.cumsum(diff.reshape(nrow + 1, ncol), axis=0, dtype=np.int32)[:nrow] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +362,6 @@ def _common_counts_numpy(indptr, indices, rows, k, i):
 
 
 if HAVE_NUMBA:
-    _occupancy_nb = njit(cache=True)(_occupancy_loop)
     _csr_matvec_nb = njit(cache=True)(_csr_matvec_loop)
     _common_counts_nb = njit(cache=True)(_common_counts_loop)
 
@@ -347,17 +369,6 @@ if HAVE_NUMBA:
 # ---------------------------------------------------------------------------
 # dispatchers
 # ---------------------------------------------------------------------------
-
-def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
-    """Boolean occupancy grid of the annuli intersection over the cell window."""
-    if USE_NUMBA:
-        return _occupancy_nb(
-            d, r_in, r_out, pitch, int(ix0), int(ix1), int(iy0), int(iy1), int(res)
-        )
-    return _occupancy_numpy(
-        d, r_in, r_out, pitch, int(ix0), int(ix1), int(iy0), int(iy1), int(res)
-    )
-
 
 def csr_matvec(indptr, indices, rows, x):
     """y = A @ x for the 0/1 CSR matrix; `rows` is the per-entry row index.

@@ -166,3 +166,29 @@ def max_scaled_tail_brute(centers, side, epsilon, adj, factor=100.0):
         if vals.size:
             best = max(best, int((vals * np.arange(1, vals.size + 1)).max()))
     return best / k
+
+
+def occupancy_raster_brute(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
+    """Occupancy grid from every res x res interior sample of every cell.
+
+    Evaluates the package's membership expressions xa*xa + y*y and
+    xb*xb + y*y (sample coordinates built as in the kernel) against
+    [r_in**2, r_out**2] at every sample, one cell row at a time.
+    """
+    ncol = ix1 - ix0 + 1
+    nrow = iy1 - iy0 + 1
+    sub = (np.arange(res) + 0.5) / res
+    xs = ((ix0 + np.arange(ncol))[:, None] + sub[None, :]).reshape(-1) * pitch
+    xa = xs + 0.5 * d
+    xb = xs - 0.5 * d
+    ri2 = r_in * r_in
+    ro2 = r_out * r_out
+    occ = np.zeros((nrow, ncol), np.bool_)
+    for r in range(nrow):
+        ys = (iy0 + r + sub) * pitch
+        y2 = (ys * ys)[:, None]
+        a2 = (xa * xa)[None, :] + y2
+        b2 = (xb * xb)[None, :] + y2
+        inside = (a2 >= ri2) & (a2 <= ro2) & (b2 >= ri2) & (b2 <= ro2)
+        occ[r] = inside.reshape(res, ncol, res).any(axis=(0, 2))
+    return occ

@@ -1,5 +1,6 @@
-"""Both kernel paths (numba jit and pure NumPy) must agree: exactly on all
-integer outputs, to roundoff on float accumulations."""
+"""Kernels with a numba twin must agree with it: exactly on all integer
+outputs, to roundoff on float accumulations.  Single-path kernels are compared
+with the brute-force oracles instead."""
 
 import os
 import subprocess
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from antipodal import kernels
+
+from oracles import box_adjacency_brute, occupancy_raster_brute
 
 needs_numba = pytest.mark.skipif(
     not kernels.HAVE_NUMBA, reason="numba not importable"
@@ -42,11 +45,11 @@ def test_max_distance_agrees(both_paths, rng):
     assert a == b
 
 
-@needs_numba
-def test_adjacency_agrees(both_paths, rng):
+def test_adjacency_agrees(rng):
     ang = rng.random(300) * 2 * np.pi
     cx, cy = 0.5 * np.cos(ang), 0.5 * np.sin(ang)
-    (ia, ja), (ib, jb) = both_paths(kernels.box_adjacency_csr, cx, cy, 0.01, 0.05)
+    ia, ja = kernels.box_adjacency_csr(cx, cy, 0.01, 0.05)
+    ib, jb = box_adjacency_brute(cx, cy, 0.01, 0.05)
     assert np.array_equal(ia, ib)
     assert np.array_equal(ja, jb)
 
@@ -73,14 +76,12 @@ def test_common_counts_agree(both_paths, rng):
         assert np.array_equal(a, b)
 
 
-@needs_numba
-def test_occupancy_agrees_exactly(both_paths):
+def test_occupancy_agrees_exactly():
     for d, eps in [(0.5, 0.01), (1.0, 0.01), (0.04, 0.01), (0.02, 0.005)]:
-        pitch = eps / 2
-        a, b = both_paths(
-            kernels.annuli_occupancy_grid, d, 1 - eps, 1.0, pitch, -80, 80, 150, 220
+        args = (d, 1 - eps, 1.0, eps / 2, -80, 80, 150, 220)
+        assert np.array_equal(
+            kernels.annuli_occupancy_grid(*args), occupancy_raster_brute(*args)
         )
-        assert np.array_equal(a, b)
 
 
 def test_env_flag_disables_numba():

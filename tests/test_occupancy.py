@@ -1,0 +1,138 @@
+"""The bisected occupancy grid equals the full res x res sample evaluation
+(`oracles.occupancy_raster_brute`) cell for cell, on cover windows, on
+arbitrary windows and radii, and on windows with sample rows below y = 0."""
+
+import contextlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antipodal import AnnulusPairConfig, cover_count, kernels
+from antipodal.annuli import occupancy_grid, thickened_cover_count
+
+from oracles import occupancy_raster_brute
+
+# the annuli-covers benchmark lattice: thickened covers where d >= 12*eps
+LATTICE = [(d, eps) for eps in (0.0005, 0.001, 0.002, 0.005, 0.01)
+           for d in (4 * eps, 0.05, 0.1, 0.25, 0.5, 1.0)]
+
+
+@contextlib.contextmanager
+def recorded_windows():
+    """Record the kernel arguments of every occupancy grid the package asks for."""
+    calls = []
+    kernel = kernels.annuli_occupancy_grid
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernels.annuli_occupancy_grid = record
+    try:
+        yield calls
+    finally:
+        kernels.annuli_occupancy_grid = kernel
+
+
+def _assert_matches_oracle(args):
+    grid = kernels.annuli_occupancy_grid(*args)
+    want = occupancy_raster_brute(*args)
+    assert grid.dtype == np.bool_
+    assert np.array_equal(grid, want), args
+
+
+def test_benchmark_lattice_windows():
+    with recorded_windows() as windows:
+        for d, eps in LATTICE:
+            cover_count(AnnulusPairConfig(d=d, epsilon=eps))
+            if d >= 12 * eps:
+                thickened_cover_count(d, eps)
+    assert len(windows) == 52
+    for args in windows:
+        _assert_matches_oracle(args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.004, 0.49),
+    frac=st.floats(0.0, 1.0),
+    res=st.sampled_from([1, 2, 3, 8, 16]),
+)
+def test_cover_windows_at_every_resolution(eps, frac, res):
+    d = min(1.0, 4 * eps + frac * (1.0 - 4 * eps))
+    with recorded_windows() as windows:
+        occupancy_grid(AnnulusPairConfig(d=d, epsilon=eps), res)
+    _assert_matches_oracle(windows[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.floats(0.0, 2.0),
+    r_in=st.floats(0.0, 1.5),
+    width=st.floats(0.0, 1.0),
+    pitch=st.floats(0.01, 0.3),
+    ix0=st.integers(-30, 10),
+    iy0=st.integers(-30, 10),
+    ncol=st.integers(1, 30),
+    nrow=st.integers(1, 30),
+    res=st.sampled_from([1, 2, 3, 8]),
+)
+def test_arbitrary_windows(d, r_in, width, pitch, ix0, iy0, ncol, nrow, res):
+    _assert_matches_oracle(
+        (d, r_in, r_in + width, pitch, ix0, ix0 + ncol - 1, iy0, iy0 + nrow - 1, res)
+    )
+
+
+@pytest.mark.parametrize("d,r_in,r_out", [(1.25, 0.625, 2.0), (0.75, 0.0, 0.625)])
+def test_inclusive_radii(d, r_in, r_out):
+    # pitch 1/4, one sample per cell: the samples (+-1/8, +-3/8) lie exactly
+    # 5/8 from one center, on the inner (first case) or outer circle
+    args = (d, r_in, r_out, 0.25, -4, 4, -4, 4, 1)
+    grid = kernels.annuli_occupancy_grid(*args)
+    assert grid[[5, 5, 2, 2], [3, 4, 3, 4]].all()
+    _assert_matches_oracle(args)
+
+
+@pytest.mark.parametrize("res", [1, 3, 8, 16])
+def test_windows_below_the_axis(res):
+    with recorded_windows() as windows:
+        for d in (0.9, 1.0):
+            for eps in (0.3, 0.45, 0.49):
+                occupancy_grid(AnnulusPairConfig(d=d, epsilon=eps), res)
+    assert any(args[6] < 0 for args in windows)
+    for args in windows:
+        _assert_matches_oracle(args)
+
+
+@pytest.mark.parametrize("res", [1, 3, 16])
+def test_padded_window_with_empty_columns(res):
+    # res 8 is test_kernels.py::test_occupancy_agrees_exactly
+    for d, eps in [(0.5, 0.01), (1.0, 0.01), (0.04, 0.01), (0.02, 0.005)]:
+        _assert_matches_oracle((d, 1 - eps, 1.0, eps / 2, -80, 80, 150, 220, res))
+
+
+def test_small_epsilon_cover_stays_small():
+    """At (d, eps) = (4e-4, 1e-4) the window holds 6.39 M cells; the full
+    8 x 8 evaluation would need two 3 GiB sample arrays."""
+    cfg = AnnulusPairConfig(d=4e-4, epsilon=1e-4)
+    tracemalloc.start()
+    try:
+        with recorded_windows() as windows:
+            count = cover_count(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res = windows[0]
+    grid = kernels.annuli_occupancy_grid(*windows[0])
+    assert grid.size > 6_000_000
+    assert int(grid.sum()) == count
+    assert np.array_equal(grid, grid[:, ::-1])
+    mid = (ix0 + ix1) // 2
+    for a, b in [(ix0, ix0 + 40), (mid - 20, mid + 20), (ix1 - 40, ix1)]:
+        want = occupancy_raster_brute(d, r_in, r_out, pitch, a, b, iy0, iy1, res)
+        assert want.any()
+        assert np.array_equal(grid[:, a - ix0 : b - ix0 + 1], want)
