@@ -145,7 +145,7 @@ def spans(cfg: AnnulusPairConfig) -> tuple[float, float]:
     return width, height
 
 
-def _cell_window(d, eps, x_extent, y_low, y_high, pitch):
+def _cell_window(x_extent, y_low, y_high, pitch):
     """Origin-anchored cell index window covering the region, 1-cell padded."""
     ix0 = math.floor(-x_extent / pitch) - 1
     ix1 = math.floor(x_extent / pitch) + 1
@@ -159,9 +159,7 @@ def occupancy_grid(cfg: AnnulusPairConfig, resolution: int = 8) -> np.ndarray:
     verts = intersection_vertices(cfg)
     pitch = cfg.epsilon / 2.0
     y_low = min(verts.axis_inner.y, verts.side_pos.y)
-    ix0, ix1, iy0, iy1 = _cell_window(
-        cfg.d, cfg.epsilon, verts.side_pos.x, y_low, verts.axis_outer.y, pitch
-    )
+    ix0, ix1, iy0, iy1 = _cell_window(verts.side_pos.x, y_low, verts.axis_outer.y, pitch)
     return kernels.annuli_occupancy_grid(
         cfg.d, 1.0 - cfg.epsilon, 1.0, pitch, ix0, ix1, iy0, iy1, resolution
     )
@@ -208,7 +206,7 @@ def thickened_cover_count(d: float, epsilon: float, resolution: int = 8) -> int:
     _, y_top = _circle_cross_upper(-d / 2.0, r_out, d / 2.0, r_out)
     _, y_bot = _circle_cross_upper(-d / 2.0, r_in, d / 2.0, r_in)
     y_low = min(y_bot, y_side)
-    ix0, ix1, iy0, iy1 = _cell_window(d, epsilon, abs(x_side), y_low, y_top, pitch)
+    ix0, ix1, iy0, iy1 = _cell_window(abs(x_side), y_low, y_top, pitch)
     grid = kernels.annuli_occupancy_grid(
         d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, resolution
     )

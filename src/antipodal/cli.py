@@ -15,6 +15,7 @@ unreadable or unwritable files exit 2 with a one-line ``error:`` message.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ _KIND_ALIASES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antipodal",

@@ -17,36 +17,15 @@ inside samples form one run of sample rows, found by bisection with the
 membership expressions the full res x res evaluation would use, so the grid
 equals that evaluation cell for cell.
 
-The CSR references each have a numba ``@njit`` path and a pure-NumPy path.
-The numba path is used by default when numba imports cleanly.  Set the
-environment variable ``ANTIPODAL_DISABLE_NUMBA=1`` before import to force the
-pure-NumPy fallback (the flag is also exposed as the module global
-``USE_NUMBA`` so tests and benchmarks can flip paths at runtime).  The two
-paths agree exactly on integer outputs and to roundoff on float
-accumulations.
+The CSR matrix-vector product and the common-neighbor row are standalone
+NumPy references: the package's own sparse products run through SciPy.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_ENV_DISABLED = os.environ.get("ANTIPODAL_DISABLE_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-
-USE_NUMBA = HAVE_NUMBA and not _ENV_DISABLED
 
 # elements per block for the chunked NumPy paths: each float64 temporary of a
 # block is 8 MB, which bounds their peak memory at a few tens of MB
@@ -326,59 +305,13 @@ def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
 # CSR matrix-vector product and common-neighbor row
 # ---------------------------------------------------------------------------
 
-def _csr_matvec_loop(indptr, indices, x):
-    k = indptr.shape[0] - 1
-    y = np.zeros(k)
-    for i in range(k):
-        s = 0.0
-        for p in range(indptr[i], indptr[i + 1]):
-            s += x[indices[p]]
-        y[i] = s
-    return y
-
-
-def _csr_matvec_numpy(indptr, indices, rows, x, k):
-    return np.bincount(rows, weights=x[indices], minlength=k)
-
-
-def _common_counts_loop(indptr, indices, k, i):
-    mark = np.zeros(k, np.uint8)
-    for p in range(indptr[i], indptr[i + 1]):
-        mark[indices[p]] = 1
-    out = np.empty(k, np.int64)
-    for j in range(k):
-        c = 0
-        for p in range(indptr[j], indptr[j + 1]):
-            c += mark[indices[p]]
-        out[j] = c
-    return out
-
-
-def _common_counts_numpy(indptr, indices, rows, k, i):
-    mark = np.zeros(k, np.float64)
-    mark[indices[indptr[i] : indptr[i + 1]]] = 1.0
-    counts = np.bincount(rows, weights=mark[indices], minlength=k)
-    return counts.astype(np.int64)
-
-
-if HAVE_NUMBA:
-    _csr_matvec_nb = njit(cache=True)(_csr_matvec_loop)
-    _common_counts_nb = njit(cache=True)(_common_counts_loop)
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
 def csr_matvec(indptr, indices, rows, x):
     """y = A @ x for the 0/1 CSR matrix; `rows` is the per-entry row index.
 
     The package's own products go through ``AntipodalGraph.matvec`` (SciPy
-    CSR); this kernel stays as a standalone NumPy/numba reference.
+    CSR); this kernel stays as a standalone NumPy reference.
     """
-    if USE_NUMBA:
-        return _csr_matvec_nb(indptr, indices, x)
-    return _csr_matvec_numpy(indptr, indices, rows, x, indptr.shape[0] - 1)
+    return np.bincount(rows, weights=x[indices], minlength=indptr.shape[0] - 1)
 
 
 def common_neighbor_counts(indptr, indices, rows, i: int):
@@ -386,9 +319,11 @@ def common_neighbor_counts(indptr, indices, rows, i: int):
 
     The package's own rows and tails come from SciPy products with the
     adjacency (``boundary.common_neighbor_row``, ``boundary.max_scaled_tail``);
-    this kernel stays as a standalone NumPy/numba reference.
+    this kernel stays as a standalone NumPy reference.
     """
     k = indptr.shape[0] - 1
-    if USE_NUMBA:
-        return _common_counts_nb(indptr, indices, k, int(i))
-    return _common_counts_numpy(indptr, indices, rows, k, int(i))
+    i = int(i)
+    mark = np.zeros(k, np.float64)
+    mark[indices[indptr[i] : indptr[i + 1]]] = 1.0
+    counts = np.bincount(rows, weights=mark[indices], minlength=k)
+    return counts.astype(np.int64)

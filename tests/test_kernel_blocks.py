@@ -26,7 +26,6 @@ def _outputs():
 
 @pytest.mark.parametrize("block_elems", [1, 997, 123_457])
 def test_block_size_does_not_change_outputs(monkeypatch, block_elems):
-    monkeypatch.setattr(kernels, "USE_NUMBA", False)
     indptr, indices, counts, dmax = _outputs()
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
     b_indptr, b_indices, b_counts, b_dmax = _outputs()

@@ -1,48 +1,34 @@
-"""Kernels with a numba twin must agree with it: exactly on all integer
-outputs, to roundoff on float accumulations.  Single-path kernels are compared
-with the brute-force oracles instead."""
+"""The kernels must equal the brute-force oracles: exactly on all integer
+outputs and maxima, and on the float accumulations of 0/1 matrix products."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
-import pytest
 
 from antipodal import kernels
 
-from oracles import box_adjacency_brute, occupancy_raster_brute
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba not importable"
+from oracles import (
+    box_adjacency_brute,
+    common_neighbors_brute,
+    diameter_brute,
+    occupancy_raster_brute,
+    pair_counts_brute,
 )
 
 
-@pytest.fixture
-def both_paths(monkeypatch):
-    def run(fn, *args):
-        out = {}
-        for flag in (False, True):
-            monkeypatch.setattr(kernels, "USE_NUMBA", flag)
-            out[flag] = fn(*args)
-        return out[False], out[True]
-
-    return run
-
-
-@needs_numba
-def test_pair_counts_agree(both_paths, rng):
+def test_pair_counts_agree(rng):
     xy = rng.random((600, 2)) * 0.9 - 0.45
     for eps in (0.02, 0.1, 0.3):
-        a, b = both_paths(kernels.pair_threshold_counts, xy, eps)
-        assert a == b
+        assert kernels.pair_threshold_counts(xy, eps) == pair_counts_brute(xy.tolist(), eps)
 
 
-@needs_numba
-def test_max_distance_agrees(both_paths, rng):
+def test_max_distance_agrees(rng):
     xy = rng.random((500, 2))
-    a, b = both_paths(kernels.max_pairwise_distance_sq, xy)
-    assert a == b
+    got = kernels.max_pairwise_distance_sq(xy)
+    dx = xy[:, None, 0] - xy[None, :, 0]
+    dy = xy[:, None, 1] - xy[None, :, 1]
+    assert got == float((dx * dx + dy * dy).max())
+    assert math.sqrt(got) == diameter_brute(xy.tolist())
 
 
 def test_adjacency_agrees(rng):
@@ -54,26 +40,29 @@ def test_adjacency_agrees(rng):
     assert np.array_equal(ja, jb)
 
 
-@needs_numba
-def test_matvec_agrees(both_paths, rng):
-    ang = np.linspace(0, 2 * np.pi, 200, endpoint=False)
+def _circle_boxes(k):
+    ang = np.linspace(0, 2 * np.pi, k, endpoint=False)
     cx, cy = 0.5 * np.cos(ang), 0.5 * np.sin(ang)
-    indptr, indices = kernels.box_adjacency_csr(cx, cy, 0.02, 0.08)
-    rows = np.repeat(np.arange(200), np.diff(indptr))
+    indptr, indices = box_adjacency_brute(cx, cy, 0.02, 0.08)
+    rows = np.repeat(np.arange(k), np.diff(indptr))
+    adj = np.zeros((k, k), np.uint8)
+    adj[rows, indices] = 1
+    return indptr, indices, rows, adj
+
+
+def test_matvec_agrees(rng):
+    indptr, indices, rows, adj = _circle_boxes(200)
     x = rng.random(200)
-    a, b = both_paths(kernels.csr_matvec, indptr, indices, rows, x)
-    assert np.allclose(a, b, rtol=1e-12, atol=0)
+    assert np.allclose(kernels.csr_matvec(indptr, indices, rows, x), adj @ x,
+                       rtol=1e-12, atol=0)
 
 
-@needs_numba
-def test_common_counts_agree(both_paths, rng):
-    ang = np.linspace(0, 2 * np.pi, 150, endpoint=False)
-    cx, cy = 0.5 * np.cos(ang), 0.5 * np.sin(ang)
-    indptr, indices = kernels.box_adjacency_csr(cx, cy, 0.02, 0.08)
-    rows = np.repeat(np.arange(150), np.diff(indptr))
+def test_common_counts_agree():
+    indptr, indices, rows, adj = _circle_boxes(150)
+    sets = [set(np.flatnonzero(r).tolist()) for r in adj]
     for i in (0, 42, 149):
-        a, b = both_paths(kernels.common_neighbor_counts, indptr, indices, rows, i)
-        assert np.array_equal(a, b)
+        got = kernels.common_neighbor_counts(indptr, indices, rows, i)
+        assert got.tolist() == [common_neighbors_brute(sets, i, j) for j in range(150)]
 
 
 def test_occupancy_agrees_exactly():
@@ -82,15 +71,3 @@ def test_occupancy_agrees_exactly():
         assert np.array_equal(
             kernels.annuli_occupancy_grid(*args), occupancy_raster_brute(*args)
         )
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "from antipodal import kernels; "
-        "print(kernels.USE_NUMBA)"
-    )
-    env = dict(os.environ, ANTIPODAL_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "False"
