@@ -7,10 +7,13 @@ boxes are adjacent when their maximum point-to-point distance reaches
 of a vertex, and the tail counts T_s used to probe how common-neighborhood
 sizes decay for far-apart boxes.
 
-Common-neighbor counts are entries of the sparse product A·A.  A single row
-is one SciPy product A @ 1_{N(i)}; the tail constant takes A·A a block of
-rows at a time (row-wise Gustavson product), with each block cut so that it
-stores at most ``kernels._BLOCK_ELEMS`` entries.
+The graph is stored as runs of consecutive boxes: boxes are numbered in
+arc-length order, so each box's antipodes form an arc, one run (two where
+the arc wraps past the last box).  Products with a vector cost O(k + runs)
+through prefix sums.  Common-neighbor counts are entries of A·A: a single
+row is A @ 1_{N(i)}; the tail constant builds rows of A·A a block at a time
+from the runs, as piecewise-constant segments, with each block cut so that
+it holds at most ``kernels._BLOCK_ELEMS`` entries.
 """
 
 from __future__ import annotations
@@ -121,23 +124,43 @@ def box_min_distance(a: Box, b: Box) -> float:
 
 @dataclass(frozen=True)
 class AntipodalGraph:
-    """Symmetric 0/1 box adjacency with degrees and edge count.
+    """Symmetric 0/1 box adjacency stored as maximal runs of consecutive boxes.
 
-    The graph is stored as sorted neighbor lists (CSR) only.  Products with
-    a vector go through a SciPy ``csr_array`` of the same lists, built on
-    first use; `adjacency` builds a dense uint8 matrix on each access.
+    Run r says that vertex ``row[r]`` is adjacent to every j with
+    ``lo[r] <= j < hi[r]``.  The three int64 arrays are sorted by row, then by
+    lo; a row may hold several runs (an arc that wraps past box k - 1 holds
+    two), so any graph has this form.  Degrees and the edge count come from
+    the run lengths.  `matvec` costs O(k + runs); the CSR views `indptr`,
+    `indices` and `row_index` are expanded on first use and cached, and
+    `adjacency` builds a dense uint8 matrix on each access.
     """
 
     k: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     degrees: np.ndarray = field(init=False)
     edge_count: int = field(init=False)
 
     def __post_init__(self):
-        deg = np.diff(self.indptr).astype(np.int64)
+        deg = np.zeros(self.k, np.int64)
+        np.add.at(deg, self.row, self.hi - self.lo)
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "edge_count", int(deg.sum()) // 2)
+
+    @cached_property
+    def run_ptr(self) -> np.ndarray:
+        """The runs of row i are run_ptr[i] .. run_ptr[i + 1] - 1."""
+        return np.searchsorted(self.row, np.arange(self.k + 1))
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.degrees)))
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Sorted neighbor lists, concatenated (CSR column indices)."""
+        return kernels.expand_runs(self.lo, self.hi)
 
     @cached_property
     def row_index(self) -> np.ndarray:
@@ -145,12 +168,9 @@ class AntipodalGraph:
         return np.repeat(np.arange(self.k, dtype=np.int64), self.degrees)
 
     @cached_property
-    def csr(self):
-        """The adjacency as a float64 ``scipy.sparse.csr_array``."""
-        from scipy.sparse import csr_array
-
-        data = np.ones(self.indices.size, dtype=np.float64)
-        return csr_array((data, self.indices, self.indptr), shape=(self.k, self.k))
+    def neighborhood_degree_sums(self) -> np.ndarray:
+        """sum_{j in N(i)} d_j for every i, exact int64."""
+        return self.matvec(self.degrees)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -162,7 +182,28 @@ class AntipodalGraph:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
+        """A @ x: a prefix-sum difference per run, summed per row.
+
+        Integer x gives an exact int64 product; any other x is taken as
+        float64.  ``np.add.at`` sums each row's runs in order, in the prefix
+        sums' dtype.
+        """
+        x = np.asarray(x)
+        dtype = np.int64 if x.dtype.kind in "biu" else np.float64
+        prefix = np.zeros(self.k + 1, dtype)
+        np.cumsum(x, out=prefix[1:])
+        y = np.zeros(self.k, dtype)
+        np.add.at(y, self.row, prefix[self.hi] - prefix[self.lo])
+        return y
+
+    @classmethod
+    def from_csr(cls, k: int, indptr, indices) -> "AntipodalGraph":
+        """The graph whose row i lists neighbors indices[indptr[i]:indptr[i + 1]]."""
+        indptr = np.asarray(indptr, dtype=np.int64)
+        rows = np.repeat(np.arange(k, dtype=np.int64), np.diff(indptr))
+        order = np.lexsort((indices, rows))
+        cols = np.asarray(indices, dtype=np.int64)[order]
+        return cls(k, *kernels.join_runs(rows[order], cols, cols + 1))
 
     @classmethod
     def from_dense(cls, matrix) -> "AntipodalGraph":
@@ -175,18 +216,18 @@ class AntipodalGraph:
         rows, cols = np.nonzero(m)
         indptr = np.zeros(k + 1, np.int64)
         indptr[1:] = np.cumsum(np.bincount(rows, minlength=k))
-        return cls(k=k, indptr=indptr, indices=cols.astype(np.int64))
+        return cls.from_csr(k, indptr, cols)
 
 
 def build_graph(boxing: BoundaryBoxing) -> AntipodalGraph:
     """Adjacency over boxes: i ~ j iff box_max_distance(B_i, B_j) >= 1 - ε."""
-    indptr, indices = kernels.box_adjacency_csr(
+    row, lo, hi = kernels.box_adjacency_runs(
         boxing.centers[:, 0].copy(),
         boxing.centers[:, 1].copy(),
         boxing.side,
         boxing.epsilon,
     )
-    return AntipodalGraph(k=boxing.k, indptr=indptr, indices=indices)
+    return AntipodalGraph(k=boxing.k, row=row, lo=lo, hi=hi)
 
 
 def near_set_W(boxing: BoundaryBoxing, i: int, factor: float = 100.0) -> np.ndarray:
@@ -217,9 +258,9 @@ def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:
 
 def common_neighbor_row(G: AntipodalGraph, i: int) -> np.ndarray:
     """Vector of |N(i) & N(j)| over all j (j = i entry equals d_i): row i of A·A."""
-    mark = np.zeros(G.k, dtype=np.float64)
-    mark[G.neighbors(i)] = 1.0
-    return G.matvec(mark).astype(np.int64)
+    mark = np.zeros(G.k, dtype=np.int64)
+    mark[G.neighbors(i)] = 1
+    return G.matvec(mark)
 
 
 def tail_counts(G: AntipodalGraph, i: int, W: np.ndarray) -> np.ndarray:
@@ -242,7 +283,35 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
     """Sum of degrees over N(i); equals sum_j |N(j) & N(i)| by double counting."""
     if G.degrees[i] < 1:
         raise IsolatedVertexError(f"vertex {i} is isolated")
-    return int(G.degrees[G.neighbors(i)].sum())
+    return int(G.neighborhood_degree_sums[i])
+
+
+def _common_neighbor_block(G: AntipodalGraph, i0: int, i1: int):
+    """Rows i0 .. i1 - 1 of A·A as entries (row - i0, j, count > 0).
+
+    Every run of every m in N(i) adds +1 at its lo and -1 at its hi to row i;
+    sorted, the running sum of these events is the row as piecewise-constant
+    segments, and only the positive ones are expanded.
+    """
+    k = G.k
+    ptr = G.run_ptr
+    r0, r1 = ptr[i0], ptr[i1]
+    mid = kernels.expand_runs(G.lo[r0:r1], G.hi[r0:r1])
+    owner = np.repeat(G.row[r0:r1] - i0, G.hi[r0:r1] - G.lo[r0:r1])
+    runs = kernels.expand_runs(ptr[mid], ptr[mid + 1])
+    base = np.repeat(owner * (k + 1), ptr[mid + 1] - ptr[mid])
+    # key = 2 * (row * (k + 1) + position) + 1 for an opening, + 0 for a closing
+    events = np.sort(np.concatenate([(base + G.lo[runs]) * 2 + 1,
+                                     (base + G.hi[runs]) * 2]))
+    count = np.cumsum((events & 1) * 2 - 1)[:-1]
+    key = events >> 1
+    # a row's events end with a closing that brings its count back to 0, so
+    # a positive segment never crosses into the next row
+    pos = count > 0
+    length = np.diff(key)[pos]
+    row, start = np.divmod(key[:-1][pos], k + 1)
+    return (np.repeat(row, length), kernels.expand_runs(start, start + length),
+            np.repeat(count[pos], length))
 
 
 def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
@@ -250,17 +319,19 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     """max over vertices i and s of s * T_s / k (the tail-bound constant).
 
     T_s counts the j outside near_set_W(boxing, i, factor) with
-    |N(i) & N(j)| >= s.  The counts come from A·A one block of rows at a
-    time; entries near their row's box are dropped by the same test as
-    `near_set_W`, and one ``bincount`` gives each row's histogram of the
+    |N(i) & N(j)| >= s.  The counts are rows of A·A, built a block of rows
+    at a time from the runs of the neighbors' neighbor lists, without
+    forming A·A; entries near their row's box are dropped by the same test
+    as `near_set_W`, and one ``bincount`` gives each row's histogram of the
     rest, whose reversed cumulative sum is T_s.  By the layer-cake identity
     max_s s * T_s equals the max over ranks r of r times the r-th largest
     count, and both are exact integers.
 
-    Row i of A·A stores at most sum_{j in N(i)} d_j entries, so blocks are
-    cut on the running sum of those bounds to hold at most
-    ``kernels._BLOCK_ELEMS`` entries (a one-row block may hold more), and to
-    at most ``kernels._BLOCK_ELEMS // (max degree + 1)`` rows, which caps the
+    Row i of A·A holds at most sum_{j in N(i)} d_j positive entries, built
+    from at most twice as many events, so blocks are cut on the running sum
+    of `neighborhood_degree_sums` to hold at most ``kernels._BLOCK_ELEMS``
+    entries (a one-row block may hold more), and to at most
+    ``kernels._BLOCK_ELEMS // (max degree + 1)`` rows, which caps the
     histogram: it is as wide as the block's largest far count plus one, and
     no count exceeds the max degree.
     """
@@ -271,16 +342,15 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     budget = kernels._BLOCK_ELEMS
     max_rows = max(1, budget // top)
     bound = np.zeros(G.k + 1, dtype=np.int64)
-    np.cumsum(G.matvec(G.degrees.astype(np.float64)).astype(np.int64), out=bound[1:])
+    np.cumsum(G.neighborhood_degree_sums, out=bound[1:])
     best = 0
     i0 = 0
     while i0 < G.k:
         i1 = int(np.searchsorted(bound, bound[i0] + budget, side="right")) - 1
         i1 = max(i0 + 1, min(i1, i0 + max_rows, G.k))
-        block = G.csr[i0:i1] @ G.csr
-        rows = np.repeat(np.arange(i1 - i0), np.diff(block.indptr))
-        far = ~(_box_gaps(boxing, i0 + rows, block.indices) <= near)
-        vals = block.data[far].astype(np.int64)
+        rows, cols, counts = _common_neighbor_block(G, i0, i1)
+        far = ~(_box_gaps(boxing, i0 + rows, cols) <= near)
+        vals = counts[far]
         width = int(vals.max(initial=0)) + 1
         hist = np.bincount(rows[far] * width + vals, minlength=(i1 - i0) * width)
         tails = np.cumsum(hist.reshape(i1 - i0, width)[:, ::-1], axis=1)[:, ::-1]
@@ -291,5 +361,4 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
 
 def max_neighborhood_degree_sum(G: AntipodalGraph) -> int:
     """max over non-isolated i of sum of degrees over N(i)."""
-    sums = G.matvec(G.degrees.astype(np.float64))
-    return int(sums.max())
+    return int(G.neighborhood_degree_sums.max())

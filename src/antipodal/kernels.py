@@ -9,8 +9,9 @@ maxima equal brute force exactly.  One pass counts a whole ε grid.
 Box adjacency is one exact pure-NumPy path: boxes are cut into chunks of
 consecutive indices, a chunk pair is skipped when the adjacency expression
 on the chunks' bounding boxes stays below the threshold, and every other
-pair is evaluated with that expression, so the CSR equals the full k×k
-evaluation entry for entry.
+pair is evaluated with that expression.  Each evaluated row is emitted as
+maximal runs of consecutive neighbors, which expand to the full k×k
+evaluation entry for entry; `box_adjacency_csr` is that expansion.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows, found by bisection with the
@@ -18,7 +19,8 @@ membership expressions the full res x res evaluation would use, so the grid
 equals that evaluation cell for cell.
 
 The CSR matrix-vector product and the common-neighbor row are standalone
-NumPy references: the package's own sparse products run through SciPy.
+NumPy references: the package's own products run on the runs
+(``AntipodalGraph.matvec``).
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# antipodal adjacency over equal axis-aligned boxes (CSR)
+# antipodal adjacency over equal axis-aligned boxes (runs of consecutive boxes)
 # ---------------------------------------------------------------------------
 # For two axis-aligned squares of side s the maximum point-to-point distance
 # is hypot(|dcx| + s, |dcy| + s), attained at corners.  Boxes i ~ j when
@@ -189,9 +191,17 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 # a skipped chunk pair holds no edge, on any input, with no slack.  The order
 # decides only how much is pruned; arc-length order along a convex boundary
 # keeps a few times nnz pairs of the k**2.
+#
+# Each row of an evaluated block is read as runs of consecutive columns, not
+# as column indices: in arc-length order a box's antipodes are one arc, so a
+# row holds one run, or two where the arc wraps past box k - 1.  A block's
+# columns are its kept chunks, each led by a column of a NaN box (adjacent to
+# nothing, like the columns past box k - 1), with one more at the end, so a
+# run never crosses a chunk edge; runs that meet there are joined afterwards.
 
-def box_adjacency_csr(cx, cy, side: float, epsilon: float):
-    """CSR (indptr, indices) of the box graph: i~j iff max box distance >= 1 - eps."""
+def box_adjacency_runs(cx, cy, side: float, epsilon: float):
+    """Maximal runs (row, lo, hi) of the box graph, int64, sorted by row then
+    lo: row ~ j for lo <= j < hi, iff max box distance >= 1 - eps."""
     k = cx.shape[0]
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
     size = min(32, max(1, _BLOCK_ELEMS // max(k, 1)))
@@ -200,28 +210,67 @@ def box_adjacency_csr(cx, cy, side: float, epsilon: float):
     xmax = np.maximum.reduceat(cx, starts)
     ymin = np.minimum.reduceat(cy, starts)
     ymax = np.maximum.reduceat(cy, starts)
-    span = np.arange(size)
-    indptr = np.zeros(k + 1, np.int64)
-    chunks = []
+    px = np.append(cx, np.nan)
+    py = np.append(cy, np.nan)
+    span = np.arange(-1, size)
+    none = np.empty(0, np.int64)
+    pieces = [(none, none, none)]
     for a, i0 in enumerate(starts):
         ux = np.maximum(xmax - xmin[a], xmax[a] - xmin) + side
         uy = np.maximum(ymax - ymin[a], ymax[a] - ymin) + side
         kept = starts[ux * ux + uy * uy >= thr2]
         if kept.shape[0] == 0:
             continue
-        cols = (kept[:, None] + span).ravel()
-        cols = cols[cols < k]
+        cols = kept[:, None] + span
+        cols[:, 0] = k
+        cols = np.append(np.minimum(cols.ravel(), k), k)
         i1 = min(k, i0 + size)
-        dx = np.abs(cx[i0:i1, None] - cx[cols]) + side
-        dy = np.abs(cy[i0:i1, None] - cy[cols]) + side
-        adj = dx * dx + dy * dy >= thr2
-        adj &= cols != np.arange(i0, i1)[:, None]
-        rows, pos = np.nonzero(adj)
-        chunks.append(cols[pos])
-        indptr[i0 + 1 : i1 + 1] = np.bincount(rows, minlength=i1 - i0)
-    indices = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-    np.cumsum(indptr, out=indptr)
-    return indptr, indices
+        # (|dx| + s)**2 + (|dy| + s)**2, in place
+        d2 = px[i0:i1, None] - px[cols]
+        np.abs(d2, out=d2)
+        d2 += side
+        d2 *= d2
+        dy = py[i0:i1, None] - py[cols]
+        np.abs(dy, out=dy)
+        dy += side
+        dy *= dy
+        d2 += dy
+        adj = d2 >= thr2
+        own = int(np.searchsorted(kept, i0))
+        if own < kept.shape[0] and kept[own] == i0:
+            diag = np.arange(i1 - i0)
+            adj[diag, own * (size + 1) + 1 + diag] = False
+        # row-major, the changes alternate: a run opens after a False column
+        # and closes before the next one
+        rows, pos = np.nonzero(adj[:, 1:] != adj[:, :-1])
+        pieces.append((rows[0::2] + i0, cols[pos[0::2] + 1], cols[pos[1::2]] + 1))
+    return join_runs(*(np.concatenate(p) for p in zip(*pieces)))
+
+
+def join_runs(row, lo, hi):
+    """Maximal runs from runs sorted by row then lo: runs of one row that meet
+    (one's hi is the next one's lo) become one."""
+    split = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
+    first = np.ones(row.shape[0], bool)
+    first[1:] = split
+    last = np.ones(row.shape[0], bool)
+    last[:-1] = split
+    return row[first], lo[first], hi[last]
+
+
+def expand_runs(lo, hi):
+    """The concatenation of arange(lo[r], hi[r]) over the runs r, as int64."""
+    length = hi - lo
+    first = np.cumsum(length) - length
+    return np.repeat(lo - first, length) + np.arange(int(length.sum()), dtype=np.int64)
+
+
+def box_adjacency_csr(cx, cy, side: float, epsilon: float):
+    """CSR (indptr, indices) of the box graph: `box_adjacency_runs`, expanded."""
+    row, lo, hi = box_adjacency_runs(cx, cy, side, epsilon)
+    indptr = np.zeros(cx.shape[0] + 1, np.int64)
+    np.add.at(indptr, row + 1, hi - lo)
+    return np.cumsum(indptr), expand_runs(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +357,8 @@ def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
 def csr_matvec(indptr, indices, rows, x):
     """y = A @ x for the 0/1 CSR matrix; `rows` is the per-entry row index.
 
-    The package's own products go through ``AntipodalGraph.matvec`` (SciPy
-    CSR); this kernel stays as a standalone NumPy reference.
+    The package's own products go through ``AntipodalGraph.matvec`` (prefix
+    sums over runs); this kernel stays as a standalone NumPy reference.
     """
     return np.bincount(rows, weights=x[indices], minlength=indptr.shape[0] - 1)
 
@@ -317,9 +366,9 @@ def csr_matvec(indptr, indices, rows, x):
 def common_neighbor_counts(indptr, indices, rows, i: int):
     """Vector of |N(i) & N(j)| over all j for the 0/1 CSR adjacency.
 
-    The package's own rows and tails come from SciPy products with the
-    adjacency (``boundary.common_neighbor_row``, ``boundary.max_scaled_tail``);
-    this kernel stays as a standalone NumPy reference.
+    The package's own rows and tails come from the runs
+    (``boundary.common_neighbor_row``, ``boundary.max_scaled_tail``); this
+    kernel stays as a standalone NumPy reference.
     """
     k = indptr.shape[0] - 1
     i = int(i)

@@ -14,6 +14,9 @@ Four quantities, ordered λ1 <= CW(sqrt(d)) <= max_i sqrt(sum_{j~i} d_j)
 * the Cauchy-Schwarz relaxation of that certificate;
 * the trace bound sqrt(tr(M^T M)) = sqrt(2|E|).
 
+`lambda1_bracket` brackets λ1 two-sidedly: the Rayleigh quotient of the
+Perron vector below, the Collatz-Wielandt bound at that vector above.
+
 Isolated vertices are removed inside each operation (restriction), so the
 stored graph stays faithful to the raw discretization.  Every operation
 applies the adjacency through ``AntipodalGraph.matvec``.  SciPy is imported
@@ -193,6 +196,30 @@ def lambda1(
     return lam
 
 
+def lambda1_bracket(
+    G: AntipodalGraph,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[float, float, float]:
+    """Two-sided certificate (lower, upper, residual) for λ1.
+
+    With v the Perron vector of `perron_pair`: lower is its Rayleigh
+    quotient, which is at most λ1; upper is `collatz_wielandt_bound` at v,
+    floored at the smallest positive float so that it is admissible off v's
+    support, which is at least λ1; residual is ||M v - lower v|| / ||v||,
+    within which of lower an eigenvalue of M lies.  Both ends hold up to
+    the rounding of the products, so on a graph whose v is exact (a regular
+    graph, say) lower may exceed upper by a few ulps.
+    """
+    _, v = perron_pair(G, tol, max_iter)
+    mv = G.matvec(v)
+    vv = float(v @ v)
+    lower = float(v @ mv) / vv
+    residual = float(np.linalg.norm(mv - lower * v)) / math.sqrt(vv)
+    upper = collatz_wielandt_bound(G, np.maximum(v, np.finfo(np.float64).tiny))
+    return lower, upper, residual
+
+
 def collatz_wielandt_bound(G: AntipodalGraph, x: np.ndarray) -> float:
     """max_i (Mx)_i / x_i over non-isolated i, for strictly positive x there.
 
@@ -219,8 +246,7 @@ def sqrt_degree_bound(G: AntipodalGraph) -> float:
     """max_i sqrt(sum of degrees over N(i)), non-isolated i only."""
     _require_edges(G)
     live = _nonisolated(G)
-    sums = G.matvec(G.degrees.astype(np.float64))
-    return float(np.sqrt(sums[live].max()))
+    return float(np.sqrt(G.neighborhood_degree_sums[live].max()))
 
 
 def trace_bound(G: AntipodalGraph) -> float:

@@ -65,7 +65,7 @@ def test_budget_counts_matvecs():
             calls.append(1)
             return super().matvec(x)
 
-    counted = Counting(k=g.k, indptr=g.indptr, indices=g.indices)
+    counted = Counting.from_csr(g.k, g.indptr, g.indices)
     lam = lambda1(counted)
     used = len(calls) - 1  # the certificate's own product is outside the budget
     assert lam == pytest.approx(lambda1(g), rel=1e-12)

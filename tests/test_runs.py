@@ -1,0 +1,169 @@
+"""The box graph stored as runs of consecutive boxes: the runs are sorted,
+non-empty and maximal, they expand to the full k x k evaluation, the run
+product is exact on integers, and the tail constant built from runs equals
+the vertex-by-vertex oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antipodal import (
+    AntipodalGraph,
+    arc_center_config,
+    build_graph,
+    circle_config,
+    convex_hull,
+    discretize_boundary,
+    kernels,
+    random_disk_config,
+    reuleaux_boundary_config,
+)
+from antipodal.boundary import BoundaryBoxing, max_scaled_tail
+
+from oracles import box_adjacency_brute, max_scaled_tail_brute
+
+HULLS = {
+    "circle": lambda: convex_hull(circle_config(2000)),
+    "reuleaux": lambda: convex_hull(reuleaux_boundary_config(2000, seed=1)),
+    "random-disk": lambda: convex_hull(random_disk_config(2000, seed=1)),
+    "arc-center": lambda: convex_hull(arc_center_config(2000, 1 / 64)),
+}
+EPSILONS = [1 / 16, 1 / 64, 1 / 256]
+_boxings = {}
+
+
+def _boxing(hull, eps, shuffle_seed=None):
+    """Boundary boxes in arc-length order, or shuffled by the given seed."""
+    key = hull, eps, shuffle_seed
+    if key not in _boxings:
+        boxing = discretize_boundary(HULLS[hull](), eps)
+        if shuffle_seed is not None:
+            perm = np.random.default_rng(shuffle_seed).permutation(boxing.k)
+            boxing = BoundaryBoxing(boxing.centers[perm], eps)
+        _boxings[key] = boxing
+    return _boxings[key]
+
+
+def _assert_runs_valid(k, row, lo, hi):
+    assert row.dtype == lo.dtype == hi.dtype == np.int64
+    assert ((0 <= row) & (row < k) & (0 <= lo) & (lo < hi) & (hi <= k)).all()
+    same = row[1:] == row[:-1]
+    assert (row[1:] >= row[:-1]).all()
+    # sorted by lo within a row, disjoint, and no two runs meet
+    assert (lo[1:][same] > hi[:-1][same]).all()
+
+
+def _assert_matches_brute(cx, cy, side, eps):
+    runs = kernels.box_adjacency_runs(cx, cy, side, eps)
+    _assert_runs_valid(cx.shape[0], *runs)
+    g = AntipodalGraph(cx.shape[0], *runs)
+    b_indptr, b_indices = box_adjacency_brute(cx, cy, side, eps)
+    assert np.array_equal(g.indptr, b_indptr)
+    assert np.array_equal(g.indices, b_indices)
+    assert np.array_equal(g.degrees, np.diff(b_indptr))
+    return runs
+
+
+@given(st.sampled_from(sorted(HULLS)), st.sampled_from(EPSILONS),
+       st.one_of(st.none(), st.integers(0, 3)))
+@settings(max_examples=40, deadline=None)
+def test_hull_runs_match_brute(hull, eps, shuffle_seed):
+    boxing = _boxing(hull, eps, shuffle_seed)
+    cx = boxing.centers[:, 0].copy()
+    cy = boxing.centers[:, 1].copy()
+    row, lo, hi = _assert_matches_brute(cx, cy, boxing.side, eps)
+    g = build_graph(boxing)
+    assert np.array_equal(g.row, row) and np.array_equal(g.lo, lo)
+    assert np.array_equal(g.hi, hi)
+    assert g.degrees.sum() == 2 * g.edge_count == (hi - lo).sum()
+    if shuffle_seed is None:
+        # in arc-length order a box's antipodes are few arcs of consecutive boxes
+        assert row.shape[0] <= 2 * boxing.k
+
+
+def test_circle_rows_are_one_cyclic_run():
+    boxing = _boxing("circle", 1 / 64)
+    g = build_graph(boxing)
+    runs = np.bincount(g.row, minlength=g.k)
+    assert (runs >= 1).all() and (runs <= 2).all()
+    wraps = np.flatnonzero(runs == 2)
+    assert wraps.size > 0
+    # a wrapping row's two runs are [0, hi) and [lo, k)
+    first = g.run_ptr[wraps]
+    assert (g.lo[first] == 0).all() and (g.hi[first + 1] == g.k).all()
+
+
+def test_shuffled_boxes_give_many_runs_per_row():
+    g = build_graph(_boxing("reuleaux", 1 / 64, shuffle_seed=0))
+    assert g.row.shape[0] > 4 * g.k
+
+
+# Centres on the lattice j/64 with side 1/64 and ε = 1/16: offsets (35, 47)
+# and (47, 35) sit exactly on the inclusive threshold (36² + 48² = 60²).
+_TIES = [(35, 47), (47, 35), (-35, 47), (47, -35)]
+_lattice = st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=1,
+                    max_size=30)
+
+
+@given(_lattice, st.lists(st.tuples(st.integers(0, 29), st.sampled_from(_TIES)),
+                          max_size=10),
+       st.sampled_from([1, 2, 3, 5, 32]), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_lattice_tie_runs_match_brute(base, ties, chunk, rnd):
+    pts = list(base)
+    for i, (a, b) in ties:
+        x, y = pts[i % len(base)]
+        pts.append((x + a, y + b))
+    rnd.shuffle(pts)
+    xy = np.array(pts, dtype=np.float64) / 64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_ELEMS", chunk * xy.shape[0])
+        _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16)
+
+
+def test_from_csr_and_from_dense_give_the_same_runs():
+    boxing = _boxing("random-disk", 1 / 64, shuffle_seed=1)
+    g = build_graph(boxing)
+    for other in (AntipodalGraph.from_csr(g.k, g.indptr, g.indices),
+                  AntipodalGraph.from_dense(g.adjacency)):
+        for name in ("row", "lo", "hi", "degrees"):
+            assert np.array_equal(getattr(other, name), getattr(g, name))
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 2])
+@pytest.mark.parametrize("hull", ["circle", "random-disk"])
+def test_matvec_matches_dense_product(hull, shuffle_seed):
+    g = build_graph(_boxing(hull, 1 / 64, shuffle_seed))
+    dense = g.adjacency.astype(np.int64)
+    rng = np.random.default_rng(3)
+    x = rng.integers(-10**6, 10**6, g.k)
+    got = g.matvec(x)
+    assert got.dtype == np.int64 and np.array_equal(got, dense @ x)
+    assert np.array_equal(g.neighborhood_degree_sums, dense @ g.degrees)
+    assert np.array_equal(g.matvec(g.degrees > 3), dense @ (g.degrees > 3))
+    for x in (rng.standard_normal(g.k), rng.random(g.k)):
+        got = g.matvec(x)
+        assert got.dtype == np.float64
+        assert (np.abs(got - dense @ x) <= 1e-12 * (dense @ np.abs(x))).all()
+
+
+_tails = {}
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, 123_457])
+@pytest.mark.parametrize("factor", [0.0, 1.0, 3.0, 100.0])
+@pytest.mark.parametrize("hull,eps,shuffle_seed", [("random-disk", 1 / 16, None),
+                                                   ("random-disk", 1 / 64, None),
+                                                   ("reuleaux", 1 / 16, 4),
+                                                   ("circle", 1 / 64, 5)])
+def test_tail_matches_oracle(monkeypatch, hull, eps, shuffle_seed, factor, block_elems):
+    boxing = _boxing(hull, eps, shuffle_seed)
+    g = build_graph(boxing)
+    key = hull, eps, shuffle_seed, factor
+    if key not in _tails:
+        _tails[key] = max_scaled_tail_brute(boxing.centers, boxing.side,
+                                            boxing.epsilon, g.adjacency, factor)
+    expected = _tails[key]
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    assert max_scaled_tail(boxing, g, factor) == expected

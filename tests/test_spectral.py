@@ -16,6 +16,7 @@ from antipodal import (
     convex_hull,
     discretize_boundary,
     lambda1,
+    lambda1_bracket,
     power_iteration,
     sqrt_degree_bound,
     trace_bound,
@@ -165,3 +166,29 @@ def test_power_iteration_argument_validation():
         lambda1(g, tol=0.0)
     with pytest.raises(ValueError):
         lambda1(g, max_iter=0)
+
+
+# relative rounding allowed at either end of the bracket
+BRACKET_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), complete_graph(40), cycle_graph(8),
+                               cycle_graph(9), star_graph(9), star_graph(30)],
+                         ids=["K5", "K40", "C8", "C9", "S9", "S30"])
+def test_lambda1_bracket_is_tight_on_known_spectra(g):
+    lower, upper, residual = lambda1_bracket(g)
+    lam, _ = power_iteration(g)
+    assert lower * (1.0 - BRACKET_ROUNDING) <= lam <= upper * (1.0 + BRACKET_ROUNDING)
+    assert abs(upper - lower) <= 1e-9 * lower
+    assert residual <= 1e-9 * lower
+
+
+def test_lambda1_bracket_contains_the_dense_eigenvalue():
+    boxing = discretize_boundary(convex_hull(circle_config(2000)), 1 / 32)
+    for g in (build_graph(boxing), random_graph(60, 0.2, seed=5)):
+        lower, upper, residual = lambda1_bracket(g)
+        exact = float(np.linalg.eigvalsh(g.adjacency.astype(np.float64)).max())
+        assert lower * (1.0 - BRACKET_ROUNDING) <= exact <= upper * (1.0 + BRACKET_ROUNDING)
+        assert abs(exact - lower) <= residual + BRACKET_ROUNDING * exact
+        assert upper <= collatz_wielandt_bound(g, sqrt_degree_certificate(g)) * (
+            1.0 + BRACKET_ROUNDING)
