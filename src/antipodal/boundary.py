@@ -11,9 +11,11 @@ The graph is stored as runs of consecutive boxes: boxes are numbered in
 arc-length order, so each box's antipodes form an arc, one run (two where
 the arc wraps past the last box).  Products with a vector cost O(k + runs)
 through prefix sums.  Common-neighbor counts are entries of A·A: a single
-row is A @ 1_{N(i)}; the tail constant builds rows of A·A a block at a time
-from the runs, as piecewise-constant segments, with each block cut so that
-it holds at most ``kernels._BLOCK_ELEMS`` entries.
+row is A @ 1_{N(i)}.  The tail constant never forms an entry of A·A: the
+near sets W are runs too, built once from chunk pairs of boxes, and one
+sorted sweep over the events of the neighbors' runs and of the near runs
+yields each row of A·A outside W as piecewise-constant segments, a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ import numpy as np
 
 from . import kernels
 from .geometry import ConvexPolygon, Point
+
+
+# consecutive boxes per chunk of the near-set pruning
+_NEAR_CHUNK = 16
+# the tail keeps about a dozen temporaries per element of a block, so its
+# blocks hold kernels._BLOCK_ELEMS // _TAIL_SHARE elements
+_TAIL_SHARE = 16
 
 
 class IsolatedVertexError(ValueError):
@@ -235,16 +244,97 @@ def near_set_W(boxing: BoundaryBoxing, i: int, factor: float = 100.0) -> np.ndar
 
     The threshold is inclusive, so i itself is always a member.
     """
-    near = _box_gaps(boxing, i, slice(None)) <= factor * boxing.epsilon
+    near = _box_gaps(boxing.centers, boxing.side, i, slice(None)) <= factor * boxing.epsilon
     return np.nonzero(near)[0]
 
 
-def _box_gaps(boxing: BoundaryBoxing, i, j) -> np.ndarray:
+def _box_gaps(centers: np.ndarray, side: float, i, j) -> np.ndarray:
     """Min distances between boxes i and j (indices broadcast elementwise)."""
-    c = boxing.centers
-    gx = np.maximum(np.abs(c[j, 0] - c[i, 0]) - boxing.side, 0.0)
-    gy = np.maximum(np.abs(c[j, 1] - c[i, 1]) - boxing.side, 0.0)
+    gx = np.maximum(np.abs(centers[j, 0] - centers[i, 0]) - side, 0.0)
+    gy = np.maximum(np.abs(centers[j, 1] - centers[i, 1]) - side, 0.0)
     return np.hypot(gx, gy)
+
+
+def _gap_bounds(lo_a, hi_a, lo_b, hi_b, side):
+    """Bounds on max(|fl(b - a)| - side, 0) over a in [lo_a, hi_a] and b in
+    [lo_b, hi_b] (broadcast), by the monotone rounding of - and max."""
+    low = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b) - side, 0.0)
+    high = np.maximum(np.maximum(hi_b - lo_a, hi_a - lo_b) - side, 0.0)
+    return low, high
+
+
+def _true_runs(mask: np.ndarray):
+    """Runs (row, lo, hi) of True in each row of a 2-D boolean array."""
+    pad = np.zeros((mask.shape[0], mask.shape[1] + 2), bool)
+    pad[:, 1:-1] = mask
+    rows, pos = np.nonzero(pad[:, 1:] != pad[:, :-1])
+    return rows[0::2], pos[0::2], pos[1::2]
+
+
+def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
+    """The near sets as maximal runs (row, lo, hi), int64, sorted by row then
+    lo: near_set_W(boxing, row, factor) is the union of its row's [lo, hi).
+
+    The boxes are cut, in order, into chunks of _NEAR_CHUNK.  For a chunk
+    pair, the chunks' bounding boxes bound every pair's gaps gx and gy
+    from both sides (`_gap_bounds`).  The pair is all far when the lower
+    bounds give gx² + gy² > r²(1 + _SLACK), and all near when the upper ones
+    give < r²(1 - _SLACK), with r = factor·ε; the slack covers the rounding
+    of the squares and of ``hypot``, whose monotonicity is not guaranteed.
+    Only the other chunk pairs are evaluated, with the `near_set_W`
+    expression.  Below the normal range of r² the slack covers nothing, so
+    every chunk pair is evaluated; for r < 0 every near set is empty.
+    """
+    k = boxing.k
+    r = factor * boxing.epsilon
+    none = np.empty(0, np.int64)
+    if not r >= 0.0:
+        return none, none, none
+    r2 = r * r
+    if 0.0 < r2 < np.finfo(float).tiny:
+        far2, near2 = np.inf, -np.inf
+    else:
+        far2, near2 = r2 * (1.0 + kernels._SLACK), r2 * (1.0 - kernels._SLACK)
+    side = boxing.side
+    x = boxing.centers[:, 0]
+    y = boxing.centers[:, 1]
+    size = _NEAR_CHUNK
+    starts = np.arange(0, k, size)
+    stops = np.append(starts[1:], k)
+    xmin, xmax = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+    ymin, ymax = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
+    # a NaN box k (near nothing) pads the last chunk
+    padded = np.vstack([boxing.centers, [np.nan, np.nan]])
+    span = np.arange(size)
+    budget = kernels._BLOCK_ELEMS // _TAIL_SHARE
+    rows_per = max(1, budget // starts.shape[0])
+    pairs_per = max(1, budget // (size * size))
+    pieces = [(none, none, none)]
+    for a0 in range(0, starts.shape[0], rows_per):
+        a = slice(a0, a0 + rows_per)
+        lx, ux = _gap_bounds(xmin[a, None], xmax[a, None], xmin, xmax, side)
+        ly, uy = _gap_bounds(ymin[a, None], ymax[a, None], ymin, ymax, side)
+        far = lx * lx + ly * ly > far2
+        near = ux * ux + uy * uy < near2
+        # runs of all-near chunks, one per row of the row chunk
+        ra, blo, bhi = _true_runs(near)
+        ra += a0
+        count = stops[ra] - starts[ra]
+        pieces.append((kernels.expand_runs(starts[ra], stops[ra]),
+                       np.repeat(starts[blo], count), np.repeat(stops[bhi - 1], count)))
+        pa, pb = np.nonzero(~(far | near))
+        for p0 in range(0, pa.shape[0], pairs_per):
+            i0 = starts[a0 + pa[p0 : p0 + pairs_per]]
+            j0 = starts[pb[p0 : p0 + pairs_per]]
+            i = np.minimum(i0[:, None, None] + span[:, None], k)
+            j = np.minimum(j0[:, None, None] + span, k)
+            hit = _box_gaps(padded, side, i, j) <= r
+            q, lo, hi = _true_runs(hit.reshape(-1, size))
+            pair, off = np.divmod(q, size)
+            pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
+    row, lo, hi = (np.concatenate(p) for p in zip(*pieces))
+    order = np.lexsort((lo, row))
+    return kernels.join_runs(row[order], lo[order], hi[order])
 
 
 def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:
@@ -286,12 +376,20 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
     return int(G.neighborhood_degree_sums[i])
 
 
-def _common_neighbor_block(G: AntipodalGraph, i0: int, i1: int):
-    """Rows i0 .. i1 - 1 of A·A as entries (row - i0, j, count > 0).
+# event kinds in the low two bits of a sweep key, and their steps to the
+# common-neighbor count and to the near depth
+_COUNT_STEP = np.array([-1, 1, 0, 0])
+_DEPTH_STEP = np.array([0, 0, -1, 1])
 
-    Every run of every m in N(i) adds +1 at its lo and -1 at its hi to row i;
-    sorted, the running sum of these events is the row as piecewise-constant
-    segments, and only the positive ones are expanded.
+
+def _far_segments(G: AntipodalGraph, near, i0: int, i1: int):
+    """Rows i0 .. i1 - 1 of A·A outside the near sets, as segments
+    (row - i0, count, length) of consecutive j with one count > 0.
+
+    Every run of every m in N(i) adds +1 at its lo and -1 at its hi to the
+    count of row i, and every near run of i does the same to a near depth;
+    sorted, the running sums of these events are both piecewise constant, and
+    a segment is far where its depth is 0.
     """
     k = G.k
     ptr = G.run_ptr
@@ -300,18 +398,22 @@ def _common_neighbor_block(G: AntipodalGraph, i0: int, i1: int):
     owner = np.repeat(G.row[r0:r1] - i0, G.hi[r0:r1] - G.lo[r0:r1])
     runs = kernels.expand_runs(ptr[mid], ptr[mid + 1])
     base = np.repeat(owner * (k + 1), ptr[mid + 1] - ptr[mid])
-    # key = 2 * (row * (k + 1) + position) + 1 for an opening, + 0 for a closing
-    events = np.sort(np.concatenate([(base + G.lo[runs]) * 2 + 1,
-                                     (base + G.hi[runs]) * 2]))
-    count = np.cumsum((events & 1) * 2 - 1)[:-1]
-    key = events >> 1
-    # a row's events end with a closing that brings its count back to 0, so
-    # a positive segment never crosses into the next row
-    pos = count > 0
-    length = np.diff(key)[pos]
-    row, start = np.divmod(key[:-1][pos], k + 1)
-    return (np.repeat(row, length), kernels.expand_runs(start, start + length),
-            np.repeat(count[pos], length))
+    nrow, nlo, nhi, nptr = near
+    n = slice(nptr[i0], nptr[i1])
+    nbase = (nrow[n] - i0) * (k + 1)
+    # key = 4 * (row * (k + 1) + position) + kind: 0 / 1 close / open a
+    # neighbor's run, 2 / 3 close / open a near run
+    events = np.sort(np.concatenate([(base + G.hi[runs]) * 4, (base + G.lo[runs]) * 4 + 1,
+                                     (nbase + nhi[n]) * 4 + 2, (nbase + nlo[n]) * 4 + 3]))
+    kind = events & 3
+    count = np.cumsum(_COUNT_STEP[kind])[:-1]
+    depth = np.cumsum(_DEPTH_STEP[kind])[:-1]
+    key = events >> 2
+    length = np.diff(key)
+    # a row's events end with both sums back at 0, so a far segment never
+    # crosses into the next row
+    far = (count > 0) & (depth == 0) & (length > 0)
+    return key[:-1][far] // (k + 1), count[far], length[far]
 
 
 def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
@@ -319,44 +421,45 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     """max over vertices i and s of s * T_s / k (the tail-bound constant).
 
     T_s counts the j outside near_set_W(boxing, i, factor) with
-    |N(i) & N(j)| >= s.  The counts are rows of A·A, built a block of rows
-    at a time from the runs of the neighbors' neighbor lists, without
-    forming A·A; entries near their row's box are dropped by the same test
-    as `near_set_W`, and one ``bincount`` gives each row's histogram of the
-    rest, whose reversed cumulative sum is T_s.  By the layer-cake identity
-    max_s s * T_s equals the max over ranks r of r times the r-th largest
-    count, and both are exact integers.
+    |N(i) & N(j)| >= s.  The near sets come once, as runs (`near_runs`), and
+    the counts as rows of A·A, built a block of rows at a time by one sweep
+    over the events of the neighbors' runs and of the near runs, without
+    forming A·A or expanding a single entry (`_far_segments`).  T_s is
+    piecewise constant in s: sorted by count, largest first, each row's far
+    segments give T at each count as the cumulative length, so by the
+    layer-cake identity max_s s * T_s is the max of count times that
+    cumulative length, an exact integer.
 
-    Row i of A·A holds at most sum_{j in N(i)} d_j positive entries, built
-    from at most twice as many events, so blocks are cut on the running sum
-    of `neighborhood_degree_sums` to hold at most ``kernels._BLOCK_ELEMS``
-    entries (a one-row block may hold more), and to at most
-    ``kernels._BLOCK_ELEMS // (max degree + 1)`` rows, which caps the
-    histogram: it is as wide as the block's largest far count plus one, and
-    no count exceeds the max degree.
+    Row i sweeps two events per run of each m in N(i) and two per near run
+    of i, so blocks are cut on the running sum of those event counts to hold
+    at most ``kernels._BLOCK_ELEMS // _TAIL_SHARE`` events (a one-row block
+    may hold more).
     """
     if boxing.k != G.k:
         raise ValueError(f"boxing has {boxing.k} boxes but the graph has {G.k} vertices")
-    near = factor * boxing.epsilon
-    top = int(G.degrees.max()) + 1
-    budget = kernels._BLOCK_ELEMS
-    max_rows = max(1, budget // top)
-    bound = np.zeros(G.k + 1, dtype=np.int64)
-    np.cumsum(G.neighborhood_degree_sums, out=bound[1:])
+    k = G.k
+    nrow, nlo, nhi = near_runs(boxing, factor)
+    nptr = np.searchsorted(nrow, np.arange(k + 1))
+    near = nrow, nlo, nhi, nptr
+    bound = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), out=bound[1:])
+    budget = kernels._BLOCK_ELEMS // _TAIL_SHARE
     best = 0
     i0 = 0
-    while i0 < G.k:
+    while i0 < k:
         i1 = int(np.searchsorted(bound, bound[i0] + budget, side="right")) - 1
-        i1 = max(i0 + 1, min(i1, i0 + max_rows, G.k))
-        rows, cols, counts = _common_neighbor_block(G, i0, i1)
-        far = ~(_box_gaps(boxing, i0 + rows, cols) <= near)
-        vals = counts[far]
-        width = int(vals.max(initial=0)) + 1
-        hist = np.bincount(rows[far] * width + vals, minlength=(i1 - i0) * width)
-        tails = np.cumsum(hist.reshape(i1 - i0, width)[:, ::-1], axis=1)[:, ::-1]
-        best = max(best, int((tails * np.arange(width)).max()))
+        i1 = max(i0 + 1, min(i1, k))
+        row, count, length = _far_segments(G, near, i0, i1)
+        order = np.lexsort((-count, row))
+        row, count, length = row[order], count[order], length[order]
+        total = np.cumsum(length)
+        # the cumulative length before each row's first segment
+        first = np.ones(row.shape[0], bool)
+        first[1:] = row[1:] != row[:-1]
+        before = np.maximum.accumulate(np.where(first, total - length, 0))
+        best = max(best, int((count * (total - before)).max(initial=0)))
         i0 = i1
-    return best / G.k
+    return best / k
 
 
 def max_neighborhood_degree_sum(G: AntipodalGraph) -> int:

@@ -19,6 +19,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -163,7 +164,10 @@ def convex_hull(ps: PointSet) -> ConvexPolygon:
         raise ValueError("convex hull needs at least three points")
     # lexicographically sorted distinct rows, as Python floats: the chain's
     # scalar arithmetic on lists runs far faster than on NumPy rows
-    pts = np.unique(ps.coords, axis=0).tolist()
+    c = ps.coords[np.lexsort((ps.coords[:, 1], ps.coords[:, 0]))]
+    distinct = np.ones(c.shape[0], bool)
+    distinct[1:] = (c[1:] != c[:-1]).any(axis=1)
+    pts = c[distinct].tolist()
     if len(pts) < 3:
         raise DegenerateHullError("fewer than three distinct points")
 
@@ -241,7 +245,20 @@ def write_points(path, ps: PointSet) -> None:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
+# the start of a line that is neither blank nor two tokens of printable ASCII
+# other than '#', split by spaces or tabs
+_ODD_LINE = re.compile(r'^(?![ \t]*[!"$-~]+[ \t]+[!"$-~]+[ \t]*$|[ \t]*$)', re.M)
+
+
 def read_points(path, normalized: bool = False) -> PointSet:
+    """Points from the text format.  A file without an `_ODD_LINE` is parsed
+    in one pass with Python's ``float``; any other goes line by line, so that
+    an error names its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.isascii() and not _ODD_LINE.search(text := raw.decode("ascii")):
+        xy = np.fromiter(map(float, text.split()), np.float64)
+        return PointSet(xy.reshape(-1, 2), normalized=normalized)
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from antipodal import (
     read_points,
     write_points,
 )
+from antipodal import geometry
 from antipodal.generators import arc_center_config
 from antipodal.geometry import distance_to_boundary
 
@@ -191,6 +193,20 @@ def test_hull_perimeter_is_edge_sum():
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_ignores_duplicate_rows_and_signed_zeros(seed):
+    gen = np.random.default_rng(seed)
+    base = np.vstack([random_disk_config(300, seed=seed).coords,
+                      [[0.0, 0.5], [0.5, 0.0], [0.0, -0.5], [-0.5, 0.0], [0.0, 0.0]]])
+    flipped = np.where(base == 0.0, -base, base)  # 0.0 <-> -0.0
+    coords = np.vstack([base, base[gen.integers(0, base.shape[0], 200)], flipped])
+    coords = coords[gen.permutation(coords.shape[0])]
+    distinct = np.unique(coords, axis=0)
+    assert distinct.shape[0] == base.shape[0]
+    assert np.array_equal(convex_hull(PointSet(coords)).vertices,
+                          convex_hull(PointSet(distinct)).vertices)
+
+
 def test_hull_collinear_is_distinct_error():
     ps = PointSet.from_points([(0, 0), (0.3, 0.3), (0.7, 0.7), (1, 1)])
     with pytest.raises(DegenerateHullError):
@@ -280,3 +296,48 @@ def test_point_io_rejects_malformed_line(tmp_path):
     path.write_text("0.1 0.2 0.3\n")
     with pytest.raises(ValueError):
         read_points(path)
+
+
+def _read_both_ways(path):
+    """read_points as it is, and with every file sent line by line: each is
+    the coordinates read or the (type, message) of the error raised."""
+    out = []
+    for odd in (geometry._ODD_LINE, re.compile("^")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_ODD_LINE", odd)
+            try:
+                out.append(read_points(path).coords)
+            except ValueError as exc:
+                out.append((type(exc), str(exc)))
+    return out
+
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", "-0.0", "+.5", "1e-3", "nan", "inf", "-inf", "x", "1__0"]),
+)
+_LINES = st.one_of(
+    st.tuples(_TOKENS, _TOKENS).map(" ".join),
+    st.tuples(st.sampled_from(["", " ", "\t"]), _TOKENS, st.sampled_from([" ", "\t", " \t "]),
+              _TOKENS, st.sampled_from(["", " ", "\t"])).map("".join),
+    st.sampled_from(["", " ", "\t ", "# comment", "1 2 3", "7", " 0.5 ", "1 2\r", "1\x0c2"]),
+)
+
+
+@given(st.lists(_LINES, max_size=12), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_point_io_fast_path_reads_like_the_line_loop(tmp_path_factory, lines, final_newline):
+    path = tmp_path_factory.mktemp("pts") / "pts.txt"
+    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode("ascii"))
+    fast, slow = _read_both_ways(path)
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert fast.tobytes() == slow.tobytes() and fast.shape == slow.shape
+
+
+def test_point_io_errors_name_their_line(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("0.25 -0.5\n\n0.125\n")
+    fast, slow = _read_both_ways(path)
+    assert fast == slow == (ValueError, f"{path}:3: expected two reals per line")

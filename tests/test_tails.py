@@ -1,6 +1,7 @@
-"""The tail constant max_{i,s} s * T_s / k, computed from row blocks of A·A,
-against a vertex-by-vertex oracle, across block sizes, and against
-`tail_counts`."""
+"""The tail constant max_{i,s} s * T_s / k, computed by one event sweep over
+the runs of A·A and of the near sets, against a vertex-by-vertex oracle,
+across block sizes, and against `tail_counts`; and the near sets as runs
+against `near_set_W`."""
 
 import numpy as np
 import pytest
@@ -15,18 +16,39 @@ from antipodal import (
     discretize_boundary,
     kernels,
     near_set_W,
+    random_disk_config,
     reuleaux_boundary_config,
     tail_counts,
 )
-from antipodal.boundary import max_scaled_tail
+from antipodal.boundary import BoundaryBoxing, max_scaled_tail, near_runs
+from antipodal.geometry import PointSet
 from conftest import random_graph, star_graph
 
 from oracles import max_scaled_tail_brute
 
+def thin_ellipse_config(n: int) -> PointSet:
+    """A convex curve 1 wide and 0.02 high: boxes on one long side are near
+    boxes on the other, so most near sets are two arcs."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return PointSet(np.column_stack([0.5 * np.cos(t), 0.01 * np.sin(t)]))
+
+
 HULLS = {
     "circle": lambda: convex_hull(circle_config(10_000)),
     "reuleaux": lambda: convex_hull(reuleaux_boundary_config(2000, seed=1)),
+    "random-disk": lambda: convex_hull(random_disk_config(2000, seed=1)),
+    "thin": lambda: convex_hull(thin_ellipse_config(400)),
 }
+FACTORS = [-1.0, 0.0, 0.5, 3.0, 100.0]
+
+
+_BOXINGS = {}
+
+
+def _boxing(hull, eps):
+    if (hull, eps) not in _BOXINGS:
+        _BOXINGS[hull, eps] = discretize_boundary(HULLS[hull](), eps)
+    return _BOXINGS[hull, eps]
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +57,7 @@ def graphs():
 
     def get(hull, eps):
         if (hull, eps) not in cache:
-            boxing = discretize_boundary(HULLS[hull](), eps)
+            boxing = _boxing(hull, eps)
             cache[hull, eps] = boxing, build_graph(boxing)
         return cache[hull, eps]
 
@@ -49,7 +71,7 @@ def _brute(boxing, g, factor):
 
 @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0, 100.0])
 @pytest.mark.parametrize("eps", [1 / 64, 1 / 128])
-@pytest.mark.parametrize("hull", sorted(HULLS))
+@pytest.mark.parametrize("hull", ["circle", "reuleaux", "thin"])
 def test_matches_vertex_by_vertex_oracle(graphs, hull, eps, factor):
     boxing, g = graphs(hull, eps)
     assert max_scaled_tail(boxing, g, factor) == _brute(boxing, g, factor)
@@ -105,3 +127,78 @@ def test_mismatched_boxing_and_graph_raise(graphs):
     _, g = graphs("circle", 1 / 128)
     with pytest.raises(ValueError, match="boxes"):
         max_scaled_tail(boxing, g)
+
+
+# ---------------------------------------------------------------------------
+# near sets as runs
+# ---------------------------------------------------------------------------
+
+def _expanded_near_runs(boxing, factor):
+    """near_runs(boxing, factor) as one sorted index array per row, after
+    checking that the runs are sorted, nonempty and maximal."""
+    row, lo, hi = near_runs(boxing, factor)
+    assert (lo < hi).all()
+    same = row[1:] == row[:-1]
+    assert (row[1:] >= row[:-1]).all() and (lo[1:][same] > hi[:-1][same]).all()
+    ptr = np.searchsorted(row, np.arange(boxing.k + 1))
+    return [kernels.expand_runs(lo[ptr[i]:ptr[i + 1]], hi[ptr[i]:ptr[i + 1]])
+            for i in range(boxing.k)]
+
+
+def _assert_near_runs_match(boxing, factor):
+    for i, got in enumerate(_expanded_near_runs(boxing, factor)):
+        assert np.array_equal(got, near_set_W(boxing, i, factor)), i
+
+
+@given(st.sampled_from(sorted(HULLS)), st.sampled_from([1 / 32, 1 / 64, 1 / 128]),
+       st.sampled_from(FACTORS))
+@settings(max_examples=40, deadline=None)
+def test_near_runs_expand_to_near_sets(hull, eps, factor):
+    _assert_near_runs_match(_boxing(hull, eps), factor)
+
+
+def test_thin_hull_has_rows_with_two_near_runs():
+    boxing = _boxing("thin", 1 / 64)
+    row, _, _ = near_runs(boxing, 3.0)
+    assert np.bincount(row, minlength=boxing.k).max() >= 2
+    _assert_near_runs_match(boxing, 3.0)
+
+
+# Box centres on a 1/32 grid with side 1/32 and ε = 1/16: gaps are multiples of
+# 1/32 and land exactly on factor·ε for factors 0.5, 1 and 3, and a nudge of
+# one ulp puts a coordinate on either side of such a tie.  The boxes are in no
+# particular order, so a near set may be any union of runs.
+@st.composite
+def grid_boxings(draw):
+    k = draw(st.integers(3, 48))
+    cells = draw(st.lists(st.integers(-8, 8), min_size=2 * k, max_size=2 * k))
+    nudges = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=2 * k, max_size=2 * k))
+    c = np.array(cells, dtype=np.float64) / 32.0
+    c = np.where(np.array(nudges) > 0, np.nextafter(c, np.inf),
+                 np.where(np.array(nudges) < 0, np.nextafter(c, -np.inf), c))
+    return BoundaryBoxing(c.reshape(k, 2), 1 / 16)
+
+
+@given(grid_boxings(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0, 100.0]))
+@settings(max_examples=150, deadline=None)
+def test_near_runs_at_ulp_ties(boxing, factor):
+    _assert_near_runs_match(boxing, factor)
+
+
+@given(grid_boxings(), st.sampled_from([0.1, 0.3, 0.7]), st.integers(0, 10_000),
+       st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+@settings(max_examples=80, deadline=None)
+def test_random_graphs_at_ulp_ties_match_oracle(boxing, p, seed, factor):
+    g = random_graph(boxing.k, p, seed)
+    assert max_scaled_tail(boxing, g, factor) == _brute(boxing, g, factor)
+
+
+def test_near_runs_below_the_normal_range():
+    # r² = (2.5e-162)² and each gap² round to the same subnormal, so the
+    # squared bounds would call two near chunks far
+    eps = 2e-170
+    centers = np.zeros((32, 2))
+    centers[16:] = 1.7e-162 + eps / 2
+    boxing = BoundaryBoxing(centers, eps)
+    assert near_set_W(boxing, 0, 2.5e-162 / eps).size == 32
+    _assert_near_runs_match(boxing, 2.5e-162 / eps)
