@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .geometry import Point
+from .geometry import Point, _check_epsilon
 
 RADICAND_CLAMP = -1e-14
 
@@ -45,13 +45,9 @@ class AnnulusPairConfig:
 
     def __post_init__(self):
         d = float(self.d)
-        eps = float(self.epsilon)
-        if not (math.isfinite(d) and math.isfinite(eps)):
-            raise ValueError("d and epsilon must be finite")
         if not 0.0 < d <= 1.0:
             raise ValueError(f"center distance d must lie in (0, 1], got {d}")
-        if not 0.0 < eps < 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2), got {eps}")
+        eps = _check_epsilon(self.epsilon)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "epsilon", eps)
 
@@ -192,9 +188,7 @@ def thickened_cover_count(d: float, epsilon: float, resolution: int = 8) -> int:
     the same origin-anchored ε/2 grid used by cover_count.
     """
     d = float(d)
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     if not 12.0 * epsilon <= d <= 1.0:
         raise ValueError(
             f"thickened cover needs 12*eps <= d <= 1, got d={d}, eps={epsilon}"

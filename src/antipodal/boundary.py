@@ -12,7 +12,7 @@ arc-length order, so each box's antipodes form an arc, one run (two where
 the arc wraps past the last box).  Products with a vector cost O(k + runs)
 through prefix sums.  Common-neighbor counts are entries of A·A: a single
 row is A @ 1_{N(i)}.  The tail constant never forms an entry of A·A: the
-near sets W are runs too, built once from chunk pairs of boxes, and one
+near sets W are runs too, built once by the same chunk-pair builder, and one
 sorted sweep over the events of the neighbors' runs and of the near runs
 yields each row of A·A outside W as piecewise-constant segments, a block of
 rows at a time.
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .geometry import ConvexPolygon, Point
+from .geometry import ConvexPolygon, Point, _check_epsilon
 
 
 # consecutive boxes per chunk of the near-set pruning
@@ -79,10 +79,6 @@ class BoundaryBoxing:
     def side(self) -> float:
         return self.epsilon / 2.0
 
-    def box(self, i: int) -> Box:
-        cx, cy = self.centers[i]
-        return Box(Point(float(cx), float(cy)), self.side)
-
 
 def discretize_boundary(hull: ConvexPolygon, epsilon: float) -> BoundaryBoxing:
     """March the polygon boundary at arc-length steps of ε/2.
@@ -90,9 +86,7 @@ def discretize_boundary(hull: ConvexPolygon, epsilon: float) -> BoundaryBoxing:
     Produces k = ceil(perimeter / (ε/2)) boxes; the final gap (back to the
     start vertex) may be shorter than ε/2.
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     if epsilon >= hull.perimeter / 3.0:
         raise ValueError(
             f"epsilon {epsilon} too coarse for perimeter {hull.perimeter:.6g}"
@@ -222,20 +216,14 @@ class AntipodalGraph:
             raise ValueError("adjacency must be square")
         if (m != m.T).any() or np.diagonal(m).any():
             raise ValueError("adjacency must be symmetric with zero diagonal")
-        rows, cols = np.nonzero(m)
-        indptr = np.zeros(k + 1, np.int64)
-        indptr[1:] = np.cumsum(np.bincount(rows, minlength=k))
-        return cls.from_csr(k, indptr, cols)
+        rows, cols = np.nonzero(m)  # row-major: sorted by row, then column
+        return cls(k, *kernels.join_runs(rows, cols, cols + 1))
 
 
 def build_graph(boxing: BoundaryBoxing) -> AntipodalGraph:
     """Adjacency over boxes: i ~ j iff box_max_distance(B_i, B_j) >= 1 - ε."""
-    row, lo, hi = kernels.box_adjacency_runs(
-        boxing.centers[:, 0].copy(),
-        boxing.centers[:, 1].copy(),
-        boxing.side,
-        boxing.epsilon,
-    )
+    row, lo, hi = kernels.box_adjacency_runs(boxing.centers[:, 0], boxing.centers[:, 1],
+                                             boxing.side, boxing.epsilon)
     return AntipodalGraph(k=boxing.k, row=row, lo=lo, hi=hi)
 
 
@@ -244,51 +232,29 @@ def near_set_W(boxing: BoundaryBoxing, i: int, factor: float = 100.0) -> np.ndar
 
     The threshold is inclusive, so i itself is always a member.
     """
-    near = _box_gaps(boxing.centers, boxing.side, i, slice(None)) <= factor * boxing.epsilon
-    return np.nonzero(near)[0]
+    c = boxing.centers
+    gap = _box_gap(np.abs(c[:, 0] - c[i, 0]), np.abs(c[:, 1] - c[i, 1]), boxing.side)
+    return np.nonzero(gap <= factor * boxing.epsilon)[0]
 
 
-def _box_gaps(centers: np.ndarray, side: float, i, j) -> np.ndarray:
-    """Min distances between boxes i and j (indices broadcast elementwise)."""
-    gx = np.maximum(np.abs(centers[j, 0] - centers[i, 0]) - side, 0.0)
-    gy = np.maximum(np.abs(centers[j, 1] - centers[i, 1]) - side, 0.0)
-    return np.hypot(gx, gy)
-
-
-def _gap_bounds(lo_a, hi_a, lo_b, hi_b, side):
-    """Bounds on max(|fl(b - a)| - side, 0) over a in [lo_a, hi_a] and b in
-    [lo_b, hi_b] (broadcast), by the monotone rounding of - and max."""
-    low = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b) - side, 0.0)
-    high = np.maximum(np.maximum(hi_b - lo_a, hi_a - lo_b) - side, 0.0)
-    return low, high
-
-
-def _true_runs(mask: np.ndarray):
-    """Runs (row, lo, hi) of True in each row of a 2-D boolean array."""
-    pad = np.zeros((mask.shape[0], mask.shape[1] + 2), bool)
-    pad[:, 1:-1] = mask
-    rows, pos = np.nonzero(pad[:, 1:] != pad[:, :-1])
-    return rows[0::2], pos[0::2], pos[1::2]
+def _box_gap(ax, ay, side: float):
+    """Min distance between two side-s boxes whose centers are |dx|, |dy| apart."""
+    return np.hypot(np.maximum(ax - side, 0.0), np.maximum(ay - side, 0.0))
 
 
 def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     """The near sets as maximal runs (row, lo, hi), int64, sorted by row then
     lo: near_set_W(boxing, row, factor) is the union of its row's [lo, hi).
 
-    The boxes are cut, in order, into chunks of _NEAR_CHUNK.  For a chunk
-    pair, the chunks' bounding boxes bound every pair's gaps gx and gy
-    from both sides (`_gap_bounds`).  The pair is all far when the lower
-    bounds give gx² + gy² > r²(1 + _SLACK), and all near when the upper ones
-    give < r²(1 - _SLACK), with r = factor·ε; the slack covers the rounding
-    of the squares and of ``hypot``, whose monotonicity is not guaranteed.
-    Only the other chunk pairs are evaluated, with the `near_set_W`
-    expression.  Below the normal range of r² the slack covers nothing, so
-    every chunk pair is evaluated; for r < 0 every near set is empty.
+    Built by `kernels.box_pair_runs` over chunks of _NEAR_CHUNK boxes with
+    r = factor·ε: a chunk pair is all far when its lower gap bounds give
+    gx² + gy² > r²(1 + _SLACK) and all near when its upper ones give
+    < r²(1 - _SLACK), and only the others are evaluated with the `near_set_W`
+    expression.  For r < 0 every near set is empty.
     """
-    k = boxing.k
     r = factor * boxing.epsilon
-    none = np.empty(0, np.int64)
     if not r >= 0.0:
+        none = np.empty(0, np.int64)
         return none, none, none
     r2 = r * r
     if 0.0 < r2 < np.finfo(float).tiny:
@@ -296,45 +262,20 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     else:
         far2, near2 = r2 * (1.0 + kernels._SLACK), r2 * (1.0 - kernels._SLACK)
     side = boxing.side
-    x = boxing.centers[:, 0]
-    y = boxing.centers[:, 1]
-    size = _NEAR_CHUNK
-    starts = np.arange(0, k, size)
-    stops = np.append(starts[1:], k)
-    xmin, xmax = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
-    ymin, ymax = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
-    # a NaN box k (near nothing) pads the last chunk
-    padded = np.vstack([boxing.centers, [np.nan, np.nan]])
-    span = np.arange(size)
-    budget = kernels._BLOCK_ELEMS // _TAIL_SHARE
-    rows_per = max(1, budget // starts.shape[0])
-    pairs_per = max(1, budget // (size * size))
-    pieces = [(none, none, none)]
-    for a0 in range(0, starts.shape[0], rows_per):
-        a = slice(a0, a0 + rows_per)
-        lx, ux = _gap_bounds(xmin[a, None], xmax[a, None], xmin, xmax, side)
-        ly, uy = _gap_bounds(ymin[a, None], ymax[a, None], ymin, ymax, side)
-        far = lx * lx + ly * ly > far2
-        near = ux * ux + uy * uy < near2
-        # runs of all-near chunks, one per row of the row chunk
-        ra, blo, bhi = _true_runs(near)
-        ra += a0
-        count = stops[ra] - starts[ra]
-        pieces.append((kernels.expand_runs(starts[ra], stops[ra]),
-                       np.repeat(starts[blo], count), np.repeat(stops[bhi - 1], count)))
-        pa, pb = np.nonzero(~(far | near))
-        for p0 in range(0, pa.shape[0], pairs_per):
-            i0 = starts[a0 + pa[p0 : p0 + pairs_per]]
-            j0 = starts[pb[p0 : p0 + pairs_per]]
-            i = np.minimum(i0[:, None, None] + span[:, None], k)
-            j = np.minimum(j0[:, None, None] + span, k)
-            hit = _box_gaps(padded, side, i, j) <= r
-            q, lo, hi = _true_runs(hit.reshape(-1, size))
-            pair, off = np.divmod(q, size)
-            pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
-    row, lo, hi = (np.concatenate(p) for p in zip(*pieces))
-    order = np.lexsort((lo, row))
-    return kernels.join_runs(row[order], lo[order], hi[order])
+
+    def gap2(ax, ay):
+        gx = np.maximum(ax - side, 0.0)
+        gy = np.maximum(ay - side, 0.0)
+        return gx * gx + gy * gy
+
+    def decide(lx, ux, ly, uy):
+        return gap2(lx, ly) > far2, gap2(ux, uy) < near2
+
+    def holds(ax, ay):
+        return _box_gap(ax, ay, side) <= r
+
+    return kernels.box_pair_runs(boxing.centers[:, 0], boxing.centers[:, 1], _NEAR_CHUNK,
+                                 decide, holds)
 
 
 def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet
+from .geometry import PointSet, _check_epsilon
 
 GENERATOR_KINDS = ("circle", "arc_center", "random_disk", "reuleaux_boundary")
 
@@ -70,9 +70,7 @@ def arc_center_config(n: int, epsilon: float) -> PointSet:
     """
     if n < 2:
         raise ValueError("arc_center_config needs n >= 2")
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     m = int(math.floor(math.sqrt(epsilon) * n))
     if m < 1:
         raise ValueError(

@@ -116,7 +116,7 @@ class PairCounts:
 
 def _check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or not 0.0 < epsilon < 0.5:
+    if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     return epsilon
 

@@ -22,6 +22,7 @@ from .geometry import (
     PairCounts,
     PointSet,
     VacuousMarginError,
+    _check_epsilon,
     convex_hull,
     pair_counts,
     pair_counts_grid,
@@ -136,9 +137,7 @@ def sweep_spectral(epsilons, hull_points: int = SPECTRAL_HULL_POINTS) -> list[Sw
 
     The hull source is the convex hull of circle_config(hull_points).
     """
-    eps_list = [float(e) for e in epsilons]
-    if any(not 0.0 < e < 0.5 for e in eps_list):
-        raise ValueError("spectral sweep epsilons must lie in (0, 1/2)")
+    eps_list = [_check_epsilon(e) for e in epsilons]
     hull = convex_hull(circle_config(hull_points))
     records: list[SweepRecord] = []
     for eps in eps_list:

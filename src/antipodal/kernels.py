@@ -6,12 +6,13 @@ conservative distance bounds rule them out, and every other pair is
 evaluated with the brute-force expression ``dx*dx + dy*dy``, so counts and
 maxima equal brute force exactly.  One pass counts a whole ε grid.
 
-Box adjacency is one exact pure-NumPy path: boxes are cut into chunks of
-consecutive indices, a chunk pair is skipped when the adjacency expression
-on the chunks' bounding boxes stays below the threshold, and every other
-pair is evaluated with that expression.  Each evaluated row is emitted as
-maximal runs of consecutive neighbors, which expand to the full k×k
-evaluation entry for entry; `box_adjacency_csr` is that expansion.
+The box-pair relations (adjacency, and the near sets of `boundary`) share
+one exact pure-NumPy builder, `box_pair_runs`: boxes are cut into chunks of
+consecutive indices, a chunk pair is decided whole when the relation's
+bound on the chunks' bounding boxes settles it, and every other pair is
+evaluated with the relation's expression.  Each row is emitted as maximal
+runs of consecutive boxes, which expand to the full k×k evaluation entry for
+entry; `box_adjacency_csr` is that expansion for the adjacency.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows, found by bisection with the
@@ -177,74 +178,123 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# antipodal adjacency over equal axis-aligned boxes (runs of consecutive boxes)
+# box-pair relations over equal axis-aligned boxes (runs of consecutive boxes)
 # ---------------------------------------------------------------------------
-# For two axis-aligned squares of side s the maximum point-to-point distance
-# is hypot(|dcx| + s, |dcy| + s), attained at corners.  Boxes i ~ j when
-# (|dx| + s)**2 + (|dy| + s)**2 >= (1 - eps)**2, evaluated without hypot.
-#
-# The boxes are cut, in their given order, into chunks of consecutive boxes.
-# A chunk pair is evaluated only when the same expression on the chunks'
-# bounding boxes reaches the threshold.  Correctly rounded -, + and * (the
-# last on non-negative operands) are monotone and fl(|a - b|) = |fl(a - b)|,
-# so that bound is at least the computed d2 of every pair of the two chunks:
-# a skipped chunk pair holds no edge, on any input, with no slack.  The order
-# decides only how much is pruned; arc-length order along a convex boundary
-# keeps a few times nnz pairs of the k**2.
-#
-# Each row of an evaluated block is read as runs of consecutive columns, not
-# as column indices: in arc-length order a box's antipodes are one arc, so a
-# row holds one run, or two where the arc wraps past box k - 1.  A block's
-# columns are its kept chunks, each led by a column of a NaN box (adjacent to
-# nothing, like the columns past box k - 1), with one more at the end, so a
-# run never crosses a chunk edge; runs that meet there are joined afterwards.
+# Box relations that depend only on |dx| and |dy| of the two centers share one
+# engine.  The boxes are cut, in their given order, into chunks of consecutive
+# boxes, and the chunks' bounding boxes bound the computed |dx| and |dy| of
+# every pair of a chunk pair from both sides.  These bounds are exact:
+# correctly rounded - is monotone, max is exact and fl(|a - b|) = |fl(a - b)|,
+# so fl(b - a) over a in [lo_a, hi_a] and b in [lo_b, hi_b] lies in
+# [fl(lo_b - hi_a), fl(hi_b - lo_a)].  Each relation decides a chunk pair
+# whole from them (no pair holds, or every pair does):
+# * adjacency, (|dx| + s)**2 + (|dy| + s)**2 >= (1 - eps)**2 (the maximum
+#   distance of two squares of side s is attained at corners): + and * on
+#   non-negative operands round monotonically too, so the bound needs no slack;
+# * near sets, hypot(max(|dx| - s, 0), max(|dy| - s, 0)) <= r: hypot is not
+#   guaranteed monotone, so the squared gap bounds are compared with r**2
+#   widened by _SLACK, and below the normal range of r**2 nothing is decided.
+# Only the undecided chunk pairs are evaluated, with the relation's own
+# expression, so the runs equal the full k x k evaluation entry for entry.  The
+# order decides only how much is pruned: along a convex boundary in arc-length
+# order a few times nnz pairs of the k**2 are evaluated, and a row holds one
+# run of antipodes, or two where the arc wraps past box k - 1.
+
+# a share of _BLOCK_ELEMS per block of chunk pairs: evaluating a pair keeps a
+# handful of float64 temporaries
+_PAIR_SHARE = 16
+
+
+def _true_runs(mask):
+    """Runs (row, lo, hi) of True in each row of a 2-D boolean array."""
+    pad = np.zeros((mask.shape[0], mask.shape[1] + 2), bool)
+    pad[:, 1:-1] = mask
+    rows, pos = np.nonzero(pad[:, 1:] != pad[:, :-1])
+    return rows[0::2], pos[0::2], pos[1::2]
+
+
+def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
+    """Maximal runs (row, lo, hi) of a box-pair relation, int64, sorted by row
+    then lo: row ~ j for lo <= j < hi.
+
+    The boxes are cut into chunks of `size`.  ``decide(lx, ux, ly, uy)``
+    takes bounds on |dx| and |dy| over every pair of each chunk pair and
+    returns boolean arrays (none, every); only the other chunk pairs are
+    evaluated, with ``holds(|dx|, |dy|)``, which must be False on the NaN box
+    that pads the last chunk.  Both may overwrite their arguments.  With
+    loops=False, i ~ i is dropped.
+    """
+    k = cx.shape[0]
+    starts = np.arange(0, k, size)
+    stops = np.append(starts[1:], k)
+    xmin, xmax = np.minimum.reduceat(cx, starts), np.maximum.reduceat(cx, starts)
+    ymin, ymax = np.minimum.reduceat(cy, starts), np.maximum.reduceat(cy, starts)
+    px = np.append(cx, np.nan)
+    py = np.append(cy, np.nan)
+    span = np.arange(size)
+    budget = _BLOCK_ELEMS // _PAIR_SHARE
+    rows_per = max(1, budget // max(starts.shape[0], 1))
+    pairs_per = max(1, budget // (size * size))
+    none = np.empty(0, np.int64)
+    pieces = [(none, none, none)]
+    for a0 in range(0, starts.shape[0], rows_per):
+        a = slice(a0, a0 + rows_per)
+        lx = np.maximum(np.maximum(xmin - xmax[a, None], xmin[a, None] - xmax), 0.0)
+        ux = np.maximum(xmax - xmin[a, None], xmax[a, None] - xmin)
+        ly = np.maximum(np.maximum(ymin - ymax[a, None], ymin[a, None] - ymax), 0.0)
+        uy = np.maximum(ymax - ymin[a, None], ymax[a, None] - ymin)
+        skip, every = decide(lx, ux, ly, uy)
+        if not loops:
+            # a chunk's own pairs include i ~ i, so they are evaluated
+            own = np.arange(lx.shape[0])
+            every[own, a0 + own] = False
+        # runs of chunks whose every pair holds, one per row of the row chunk
+        ra, blo, bhi = _true_runs(every)
+        ra += a0
+        count = stops[ra] - starts[ra]
+        pieces.append((expand_runs(starts[ra], stops[ra]),
+                       np.repeat(starts[blo], count), np.repeat(stops[bhi - 1], count)))
+        pa, pb = np.nonzero(~(skip | every))
+        for p0 in range(0, pa.shape[0], pairs_per):
+            i0 = starts[a0 + pa[p0 : p0 + pairs_per]]
+            j0 = starts[pb[p0 : p0 + pairs_per]]
+            i = np.minimum(i0[:, None, None] + span[:, None], k)
+            j = np.minimum(j0[:, None, None] + span, k)
+            dx = px[i] - px[j]
+            dy = py[i] - py[j]
+            hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
+            if not loops:
+                hit[np.flatnonzero(i0 == j0)[:, None], span, span] = False
+            q, lo, hi = _true_runs(hit.reshape(-1, size))
+            pair, off = np.divmod(q, size)
+            pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
+    row, lo, hi = (np.concatenate(p) for p in zip(*pieces))
+    order = np.lexsort((lo, row))
+    return join_runs(row[order], lo[order], hi[order])
+
 
 def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     """Maximal runs (row, lo, hi) of the box graph, int64, sorted by row then
     lo: row ~ j for lo <= j < hi, iff max box distance >= 1 - eps."""
-    k = cx.shape[0]
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
-    size = min(32, max(1, _BLOCK_ELEMS // max(k, 1)))
-    starts = np.arange(0, k, size)
-    xmin = np.minimum.reduceat(cx, starts)
-    xmax = np.maximum.reduceat(cx, starts)
-    ymin = np.minimum.reduceat(cy, starts)
-    ymax = np.maximum.reduceat(cy, starts)
-    px = np.append(cx, np.nan)
-    py = np.append(cy, np.nan)
-    span = np.arange(-1, size)
-    none = np.empty(0, np.int64)
-    pieces = [(none, none, none)]
-    for a, i0 in enumerate(starts):
-        ux = np.maximum(xmax - xmin[a], xmax[a] - xmin) + side
-        uy = np.maximum(ymax - ymin[a], ymax[a] - ymin) + side
-        kept = starts[ux * ux + uy * uy >= thr2]
-        if kept.shape[0] == 0:
-            continue
-        cols = kept[:, None] + span
-        cols[:, 0] = k
-        cols = np.append(np.minimum(cols.ravel(), k), k)
-        i1 = min(k, i0 + size)
+
+    def reach2(ax, ay):
         # (|dx| + s)**2 + (|dy| + s)**2, in place
-        d2 = px[i0:i1, None] - px[cols]
-        np.abs(d2, out=d2)
-        d2 += side
-        d2 *= d2
-        dy = py[i0:i1, None] - py[cols]
-        np.abs(dy, out=dy)
-        dy += side
-        dy *= dy
-        d2 += dy
-        adj = d2 >= thr2
-        own = int(np.searchsorted(kept, i0))
-        if own < kept.shape[0] and kept[own] == i0:
-            diag = np.arange(i1 - i0)
-            adj[diag, own * (size + 1) + 1 + diag] = False
-        # row-major, the changes alternate: a run opens after a False column
-        # and closes before the next one
-        rows, pos = np.nonzero(adj[:, 1:] != adj[:, :-1])
-        pieces.append((rows[0::2] + i0, cols[pos[0::2] + 1], cols[pos[1::2]] + 1))
-    return join_runs(*(np.concatenate(p) for p in zip(*pieces)))
+        ax += side
+        ax *= ax
+        ay += side
+        ay *= ay
+        ax += ay
+        return ax
+
+    def decide(lx, ux, ly, uy):
+        return reach2(ux, uy) < thr2, reach2(lx, ly) >= thr2
+
+    def holds(ax, ay):
+        return reach2(ax, ay) >= thr2
+
+    size = min(32, max(1, _BLOCK_ELEMS // max(cx.shape[0], 1)))
+    return box_pair_runs(cx, cy, size, decide, holds, loops=False)
 
 
 def join_runs(row, lo, hi):

@@ -146,15 +146,17 @@ def perron_pair(
 
     live = G.degrees > 0
     calls = 0
-    estimate = math.nan
+    # the last vector applied and its product (NaN before the first product)
+    last = np.full(1, math.nan), np.full(1, math.nan)
 
     def apply(x):
-        nonlocal calls, estimate
+        nonlocal calls, last
         if calls == max_iter:
             raise _BudgetExhausted
         calls += 1
         y = G.matvec(x)
-        estimate = float(x @ y) / float(x @ x)
+        # ARPACK reuses x's buffer, so keep a copy for the estimate
+        last = x.copy(), y
         return y
 
     op = LinearOperator((G.k, G.k), matvec=apply, dtype=np.float64)
@@ -162,6 +164,8 @@ def perron_pair(
         _, vecs = eigsh(op, k=1, which="LA", v0=live.astype(np.float64),
                         tol=tol, maxiter=int(max_iter), rng=0)
     except (_BudgetExhausted, ArpackNoConvergence):
+        x, y = last
+        estimate = float(x @ y) / float(x @ x)
         raise PowerIterationError(
             f"no convergence within {max_iter} matvecs (last estimate {estimate})",
             estimate=estimate,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
+    AnnulusPairConfig,
     DegenerateHullError,
     PointSet,
     VacuousMarginError,
@@ -14,10 +15,13 @@ from antipodal import (
     circle_config,
     convex_hull,
     diameter,
+    discretize_boundary,
     pair_counts,
     random_disk_config,
     ratio_margin,
     read_points,
+    sweep_spectral,
+    thickened_cover_count,
     write_points,
 )
 from antipodal import geometry
@@ -64,6 +68,23 @@ def test_pair_counts_rejects_bad_epsilon():
     for eps in (0.0, 0.5, 0.7, -0.1, float("nan")):
         with pytest.raises(ValueError):
             pair_counts(ps, eps)
+
+
+# every public function that takes ε checks it with geometry._check_epsilon
+_EPSILON_ENTRY_POINTS = {
+    "discretize_boundary": lambda eps: discretize_boundary(convex_hull(circle_config(400)), eps),
+    "AnnulusPairConfig": lambda eps: AnnulusPairConfig(d=0.5, epsilon=eps),
+    "thickened_cover_count": lambda eps: thickened_cover_count(0.5, eps),
+    "arc_center_config": lambda eps: arc_center_config(100, eps),
+    "sweep_spectral": lambda eps: sweep_spectral([eps], hull_points=400),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_EPSILON_ENTRY_POINTS))
+def test_entry_points_reject_bad_epsilon(entry, eps):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/2\), got"):
+        _EPSILON_ENTRY_POINTS[entry](eps)
 
 
 def test_pair_counts_rejects_nonfinite_coordinates():

@@ -72,6 +72,7 @@ def test_budget_counts_matvecs():
     with pytest.raises(PowerIterationError) as exc:
         lambda1(g, max_iter=used - 1)
     assert math.isfinite(exc.value.estimate)
+    assert exc.value.estimate <= lam * (1 + 1e-12)
     assert lambda1(g, max_iter=used) == lam
 
 
