@@ -55,10 +55,6 @@ class AnnulusPairConfig:
     def meets_hypothesis(self) -> bool:
         return 4.0 * self.epsilon <= self.d
 
-    @property
-    def centers(self) -> tuple[Point, Point]:
-        return Point(-self.d / 2.0, 0.0), Point(self.d / 2.0, 0.0)
-
 
 class IntersectionVertices(NamedTuple):
     """The four corners of the upper intersection region.

@@ -33,6 +33,10 @@ from .geometry import ConvexPolygon, Point, _check_epsilon
 
 # consecutive boxes per chunk of the near-set pruning
 _NEAR_CHUNK = 16
+# relative slack on r**2 in the near-set pruning, which covers the rounding of
+# the squared gap bounds and of hypot (not guaranteed monotone); below the
+# normal range of r**2 the pruning decides nothing
+_SLACK = 1e-9
 # the tail keeps about a dozen temporaries per element of a block, so its
 # blocks hold kernels._BLOCK_ELEMS // _TAIL_SHARE elements
 _TAIL_SHARE = 16
@@ -260,7 +264,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     if 0.0 < r2 < np.finfo(float).tiny:
         far2, near2 = np.inf, -np.inf
     else:
-        far2, near2 = r2 * (1.0 + kernels._SLACK), r2 * (1.0 - kernels._SLACK)
+        far2, near2 = r2 * (1.0 + _SLACK), r2 * (1.0 - _SLACK)
     side = boxing.side
 
     def gap2(ax, ay):

@@ -9,8 +9,7 @@ Conventions used throughout the package:
 * epsilon must lie in the open interval (0, 1/2) -- beyond that the two
   thresholds lose meaning for diameter-1 sets (fitted constants are only
   meaningful for epsilon <= 0.1, see README);
-* natural logarithm everywhere;
-* geometric equality tolerance is 1e-12 absolute on coordinates in [-1, 1].
+* natural logarithm everywhere.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -26,8 +25,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import kernels
-
-GEOM_TOL = 1e-12
 
 
 class Point(NamedTuple):
@@ -98,13 +95,6 @@ class ConvexPolygon:
     @property
     def m(self) -> int:
         return self.vertices.shape[0]
-
-    def contains(self, x: float, y: float, tol: float = GEOM_TOL) -> bool:
-        """Point-in-polygon via signed areas against every CCW edge."""
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        cross = (w[:, 0] - v[:, 0]) * (y - v[:, 1]) - (w[:, 1] - v[:, 1]) * (x - v[:, 0])
-        return bool((cross >= -tol).all())
 
 
 @dataclass(frozen=True)
@@ -252,13 +242,17 @@ _ODD_LINE = re.compile(r'^(?![ \t]*[!"$-~]+[ \t]+[!"$-~]+[ \t]*$|[ \t]*$)', re.M
 
 def read_points(path, normalized: bool = False) -> PointSet:
     """Points from the text format.  A file without an `_ODD_LINE` is parsed
-    in one pass with Python's ``float``; any other goes line by line, so that
-    an error names its line."""
+    in one pass with Python's ``float``; any other, or one with a token
+    ``float`` rejects, goes line by line, so that an error names its line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw.isascii() and not _ODD_LINE.search(text := raw.decode("ascii")):
-        xy = np.fromiter(map(float, text.split()), np.float64)
-        return PointSet(xy.reshape(-1, 2), normalized=normalized)
+        try:
+            xy = np.fromiter(map(float, text.split()), np.float64)
+        except ValueError:
+            pass
+        else:
+            return PointSet(xy.reshape(-1, 2), normalized=normalized)
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -268,5 +262,8 @@ def read_points(path, normalized: bool = False) -> PointSet:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two reals per line")
-            rows.append((float(parts[0]), float(parts[1])))
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return PointSet.from_points(rows, normalized=normalized)

@@ -1,18 +1,15 @@
 """Hot numeric kernels.
 
 Pair counting and the maximum pairwise distance share one exact pure-NumPy
-engine over a uniform cell list: whole cell pairs are skipped when their
-conservative distance bounds rule them out, and every other pair is
-evaluated with the brute-force expression ``dx*dx + dy*dy``, so counts and
-maxima equal brute force exactly.  One pass counts a whole ε grid.
-
-The box-pair relations (adjacency, and the near sets of `boundary`) share
-one exact pure-NumPy builder, `box_pair_runs`: boxes are cut into chunks of
-consecutive indices, a chunk pair is decided whole when the relation's
-bound on the chunks' bounding boxes settles it, and every other pair is
-evaluated with the relation's expression.  Each row is emitted as maximal
-runs of consecutive boxes, which expand to the full k×k evaluation entry for
-entry; `box_adjacency_csr` is that expansion for the adjacency.
+engine over a uniform cell list, and the box-pair relations (adjacency, and
+the near sets of `boundary`) share one exact builder, `box_pair_runs`, over
+chunks of consecutive boxes.  Both prune whole groups of pairs with one
+bound, `_gap_bounds`, taken from the groups' exact bounding boxes (see the
+comment above it), and evaluate every other pair with the brute-force
+expression, so counts, maxima and runs equal brute force exactly.  One pass
+counts a whole ε grid.  Each box-pair row is emitted as maximal runs of
+consecutive boxes, which expand to the full k×k evaluation entry for entry;
+`box_adjacency_csr` is that expansion for the adjacency.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows, found by bisection with the
@@ -40,27 +37,44 @@ _DIAMETER_CELLS = 64
 
 
 # ---------------------------------------------------------------------------
+# exact bounds on the gaps between two groups of points
+# ---------------------------------------------------------------------------
+# The exact bounding boxes of two groups of points (cells of the point engine,
+# chunks of boxes) bound the computed |dx| and |dy| of every pair from both
+# sides, with no slack: correctly rounded - is monotone, max is exact and
+# fl(|p - q|) = |fl(p - q)|, so fl(q - p) over p in [xmin_a, xmax_a] and q in
+# [xmin_b, xmax_b] lies in [fl(xmin_b - xmax_a), fl(xmax_b - xmin_a)]; + and *
+# on non-negative operands round monotonically too, so the computed
+# dx*dx + dy*dy lies in [fl(lx*lx + ly*ly), fl(ux*ux + uy*uy)].
+
+def _bounding_boxes(x, y, starts):
+    """(xmin, xmax, ymin, ymax) of the groups of consecutive points at `starts`."""
+    return tuple(f.reduceat(v, starts) for v in (x, y) for f in (np.minimum, np.maximum))
+
+
+def _gap_bounds(boxes, a, b=slice(None)):
+    """Bounds (lx, ux, ly, uy) on |dx| and |dy| over every pair of a point of
+    a group in `a` (rows) and a point of a group in `b` (columns)."""
+    out = []
+    for lo, hi in (boxes[:2], boxes[2:]):
+        out.append(np.maximum(np.maximum(lo[b] - hi[a, None], lo[a, None] - hi[b]), 0.0))
+        out.append(np.maximum(hi[b] - lo[a, None], hi[a, None] - lo[b]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exact pair engine over a uniform cell list
 # ---------------------------------------------------------------------------
-# Points are bucketed into square cells of side h (Bentley, Stanat and
-# Williams 1977, fixed-radius near neighbours).  Two cells whose integer
-# offsets are (di, dj) hold only pairs whose x-gap lies in ((di-1)h, (di+1)h)
-# and whose y-gap lies in ((dj-1)h, (dj+1)h).  _SLACK widens these bounds past
-# the rounding of the cell assignment and of d2, so every computed d2 of a
-# pair of the two cells lies in [lo2, hi2].  Cell pairs whose bounds rule out
-# every threshold are skipped whole; every other pair is evaluated with the
-# brute-force expression dx*dx + dy*dy, so counts and maxima equal brute force
-# bit for bit.
-
-_SLACK = 1e-9
-
+# Points are bucketed into square cells (Bentley, Stanat and Williams 1977,
+# fixed-radius near neighbours); how the assignment rounds decides only how
+# much is pruned.  Cell pairs whose gap bounds rule out every threshold are
+# skipped whole; every other pair is evaluated with the brute-force expression
+# dx*dx + dy*dy, so counts and maxima equal brute force bit for bit.
 
 class _Cells(NamedTuple):
     xy: np.ndarray  # the points, sorted by cell
-    ij: np.ndarray  # (m, 2) integer coordinates of the m occupied cells
-    starts: np.ndarray  # (m + 1,) first sorted point of each cell, then n
-    side: float
-    pad: float  # absolute slack on every cell gap
+    starts: np.ndarray  # (m + 1,) first sorted point of each of the m cells, then n
+    boxes: tuple  # the cells' bounding boxes, as `_bounding_boxes`
 
 
 def _cells(xy, side, min_fill=1):
@@ -79,22 +93,13 @@ def _cells(xy, side, min_fill=1):
         if first.shape[0] * min_fill <= n or first.shape[0] == 1:
             break
         side *= 2.0
-    return _Cells(np.ascontiguousarray(xy[order]), ij[order[first]],
-                  np.append(first, n), side, _SLACK * (span + side))
-
-
-def _cell_bounds(cells, a, b0=0):
-    """Squared distance bounds (lo2, hi2) from cell a to cells b0, b0+1, ..."""
-    d = np.abs(cells.ij[b0:] - cells.ij[a]).astype(np.float64)
-    lo = np.maximum(cells.side * (d - 1.0) - cells.pad, 0.0)
-    hi = cells.side * (d + 1.0) + cells.pad
-    return ((lo * lo).sum(axis=1) * (1.0 - _SLACK),
-            (hi * hi).sum(axis=1) * (1.0 + _SLACK))
+    xy = np.ascontiguousarray(xy[order])
+    return _Cells(xy, np.append(first, n), _bounding_boxes(xy[:, 0], xy[:, 1], first))
 
 
 def _pair_blocks(cells, keep):
     """Yield blocks of d2 over the pairs of each cell a with the cells b >= a
-    that keep(lo2, hi2) accepts; pairs i >= j within one cell read NaN.
+    whose gap bounds pass keep(lo2, hi2); pairs i >= j within one cell read NaN.
 
     A block holds one row slice of cell a against the points of all its
     accepted cells, at most max(_BLOCK_ELEMS, n) values.
@@ -102,8 +107,9 @@ def _pair_blocks(cells, keep):
     px = cells.xy[:, 0]
     py = cells.xy[:, 1]
     starts = cells.starts
-    for a in range(cells.ij.shape[0]):
-        cand = a + np.flatnonzero(keep(*_cell_bounds(cells, a, a)))
+    for a in range(starts.shape[0] - 1):
+        lx, ux, ly, uy = _gap_bounds(cells.boxes, a, slice(a, None))
+        cand = a + np.flatnonzero(keep(lx * lx + ly * ly, ux * ux + uy * uy))
         if cand.shape[0] == 0:
             continue
         cnt = starts[cand + 1] - starts[cand]
@@ -182,18 +188,13 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Box relations that depend only on |dx| and |dy| of the two centers share one
 # engine.  The boxes are cut, in their given order, into chunks of consecutive
-# boxes, and the chunks' bounding boxes bound the computed |dx| and |dy| of
-# every pair of a chunk pair from both sides.  These bounds are exact:
-# correctly rounded - is monotone, max is exact and fl(|a - b|) = |fl(a - b)|,
-# so fl(b - a) over a in [lo_a, hi_a] and b in [lo_b, hi_b] lies in
-# [fl(lo_b - hi_a), fl(hi_b - lo_a)].  Each relation decides a chunk pair
+# boxes, and `_gap_bounds` on the chunks' bounding boxes bounds the |dx| and
+# |dy| of every pair of a chunk pair.  Each relation decides a chunk pair
 # whole from them (no pair holds, or every pair does):
 # * adjacency, (|dx| + s)**2 + (|dy| + s)**2 >= (1 - eps)**2 (the maximum
-#   distance of two squares of side s is attained at corners): + and * on
-#   non-negative operands round monotonically too, so the bound needs no slack;
-# * near sets, hypot(max(|dx| - s, 0), max(|dy| - s, 0)) <= r: hypot is not
-#   guaranteed monotone, so the squared gap bounds are compared with r**2
-#   widened by _SLACK, and below the normal range of r**2 nothing is decided.
+#   distance of two squares of side s is attained at corners), needs no slack;
+# * the near sets of `boundary.near_runs` compare squared gaps with a slack,
+#   since their hypot is not guaranteed monotone.
 # Only the undecided chunk pairs are evaluated, with the relation's own
 # expression, so the runs equal the full k x k evaluation entry for entry.  The
 # order decides only how much is pruned: along a convex boundary in arc-length
@@ -227,8 +228,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     k = cx.shape[0]
     starts = np.arange(0, k, size)
     stops = np.append(starts[1:], k)
-    xmin, xmax = np.minimum.reduceat(cx, starts), np.maximum.reduceat(cx, starts)
-    ymin, ymax = np.minimum.reduceat(cy, starts), np.maximum.reduceat(cy, starts)
+    boxes = _bounding_boxes(cx, cy, starts)
     px = np.append(cx, np.nan)
     py = np.append(cy, np.nan)
     span = np.arange(size)
@@ -238,15 +238,10 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     none = np.empty(0, np.int64)
     pieces = [(none, none, none)]
     for a0 in range(0, starts.shape[0], rows_per):
-        a = slice(a0, a0 + rows_per)
-        lx = np.maximum(np.maximum(xmin - xmax[a, None], xmin[a, None] - xmax), 0.0)
-        ux = np.maximum(xmax - xmin[a, None], xmax[a, None] - xmin)
-        ly = np.maximum(np.maximum(ymin - ymax[a, None], ymin[a, None] - ymax), 0.0)
-        uy = np.maximum(ymax - ymin[a, None], ymax[a, None] - ymin)
-        skip, every = decide(lx, ux, ly, uy)
+        skip, every = decide(*_gap_bounds(boxes, slice(a0, a0 + rows_per)))
         if not loops:
             # a chunk's own pairs include i ~ i, so they are evaluated
-            own = np.arange(lx.shape[0])
+            own = np.arange(every.shape[0])
             every[own, a0 + own] = False
         # runs of chunks whose every pair holds, one per row of the row chunk
         ra, blo, bhi = _true_runs(every)
@@ -358,8 +353,12 @@ def _first_true(pred, n, m):
 
 
 def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
-    """Boolean occupancy grid of the annuli intersection over the cell window."""
+    """Boolean occupancy grid of the annuli intersection over the cell window;
+    ValueError when an index is too large for exact sample coordinates."""
     ix0, ix1, iy0, iy1, res = int(ix0), int(ix1), int(iy0), int(iy1), int(res)
+    if max(abs(ix0), abs(ix1), abs(iy0), abs(iy1)) * 2 * res >= 2**53:
+        raise ValueError("cell window index too large for exact sample "
+                         f"coordinates (pitch {pitch!r}): epsilon is too small")
     ncol = ix1 - ix0 + 1
     nrow = iy1 - iy0 + 1
     sub = (np.arange(res) + 0.5) / res

@@ -50,6 +50,22 @@ def test_annuli_invalid_config_is_error():
     assert main(["annuli", "--d", "1.5", "--epsilon", "0.01"]) == 2
 
 
+@pytest.mark.parametrize("eps", ["1e-20", "1e-17", "1e-15"])
+def test_annuli_epsilon_too_small_for_exact_samples_is_error(capsys, eps):
+    # the ε/2 cell indices reach 2**53 / 16, past which the sample
+    # coordinates are no longer exact (at 1e-20 they pass int64)
+    assert main(["annuli", "--d", "1", "--epsilon", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_annuli_smallest_exact_epsilon_keeps_its_cover(capsys):
+    assert main(["annuli", "--d", "1", "--epsilon", "1e-14"]) == 0
+    assert int(capsys.readouterr().out.strip().splitlines()[1].split(",")[4]) == 10
+
+
 def test_graph_stats_and_spectral(tmp_path, capsys):
     pts = tmp_path / "c.txt"
     main(["gen", "--kind", "circle", "--n", "3000", "--out", str(pts)])
@@ -105,6 +121,15 @@ def test_missing_points_file_is_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_bad_token_in_points_file_names_its_line(tmp_path, capsys):
+    pts = tmp_path / "bad.txt"
+    pts.write_text("0 0\n1 0\n0 abc\n")
+    rc = main(["graph-stats", "--points", str(pts), "--epsilon", "0.02"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {pts}:3: ")
 
 
 def test_gen_into_missing_directory_is_error(tmp_path, capsys):

@@ -362,3 +362,7 @@ def test_point_io_errors_name_their_line(tmp_path):
     path.write_text("0.25 -0.5\n\n0.125\n")
     fast, slow = _read_both_ways(path)
     assert fast == slow == (ValueError, f"{path}:3: expected two reals per line")
+    path.write_text("0.25 -0.5\n0.125 abc\n")
+    fast, slow = _read_both_ways(path)
+    assert fast == slow == (
+        ValueError, f"{path}:2: could not convert string to float: 'abc'")

@@ -125,10 +125,26 @@ def test_block_size_does_not_change_counts_or_diameter(monkeypatch, block_elems)
     assert _block_outputs() == (counts, dmax)
 
 
-def test_cell_bounds_hold_every_pair_at_cell_edges():
-    """Points placed on cell edges and nudged by a few ulps, where the
-    rounded cell assignment can be off by one: every computed d2 of a pair
-    still lies inside the bounds of its two cells."""
+def _assert_gap_bounds_hold(x, y, starts):
+    """Every computed |dx|, |dy| and d2 of a pair of the groups of consecutive
+    points that begin at `starts` lies inside `kernels._gap_bounds` of its
+    two groups."""
+    group = np.repeat(np.arange(starts.shape[0]), np.diff(np.append(starts, x.shape[0])))
+    lx, ux, ly, uy = (v[group][:, group] for v in kernels._gap_bounds(
+        kernels._bounding_boxes(x, y, starts), slice(None)))
+    ax = np.abs(x[:, None] - x[None, :])
+    ay = np.abs(y[:, None] - y[None, :])
+    d2 = ax * ax + ay * ay
+    assert (lx <= ax).all() and (ax <= ux).all()
+    assert (ly <= ay).all() and (ay <= uy).all()
+    assert (lx * lx + ly * ly <= d2).all() and (d2 <= ux * ux + uy * uy).all()
+
+
+def test_gap_bounds_hold_every_pair_at_cell_edges():
+    """Points on a lattice of cell edges, nudged by a few ulps so that the
+    rounded cell assignment can be off by one: the bounding-box bounds hold
+    every computed pair of the point engine's cells and of chunks of
+    consecutive points, as `box_pair_runs` cuts them."""
     rng = np.random.default_rng(0)
     for _ in range(200):
         side = float(rng.choice([0.1, 0.16, 0.03, 1 / 3, 0.07, 0.2]))
@@ -137,15 +153,9 @@ def test_cell_bounds_hold_every_pair_at_cell_edges():
         for step in rng.integers(-1, 2, (3,) + xy.shape):
             xy = np.where(step == 0, xy, np.nextafter(xy, np.copysign(np.inf, step)))
         cells = kernels._cells(xy, side)
-        cell_of = np.repeat(np.arange(cells.ij.shape[0]), np.diff(cells.starts))
-        p = cells.xy
-        for a in range(cells.ij.shape[0]):
-            lo2, hi2 = kernels._cell_bounds(cells, a)
-            mine = cell_of == a
-            dx = p[mine, 0][:, None] - p[:, 0][None, :]
-            dy = p[mine, 1][:, None] - p[:, 1][None, :]
-            d2 = dx * dx + dy * dy
-            assert (lo2[cell_of] <= d2).all() and (d2 <= hi2[cell_of]).all()
+        _assert_gap_bounds_hold(cells.xy[:, 0], cells.xy[:, 1], cells.starts[:-1])
+        size = int(rng.integers(1, 9))
+        _assert_gap_bounds_hold(xy[:, 0], xy[:, 1], np.arange(0, xy.shape[0], size))
 
 
 def test_grid_validation():
