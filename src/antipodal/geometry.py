@@ -18,7 +18,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -145,21 +144,18 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull(ps: PointSet) -> ConvexPolygon:
-    """Convex hull by monotone chain; collinear vertices are pruned.
-
-    Raises DegenerateHullError when all points are collinear.
-    """
-    if ps.n < 3:
-        raise ValueError("convex hull needs at least three points")
-    # lexicographically sorted distinct rows, as Python floats: the chain's
-    # scalar arithmetic on lists runs far faster than on NumPy rows
-    c = ps.coords[np.lexsort((ps.coords[:, 1], ps.coords[:, 0]))]
+def _sorted_distinct(coords: np.ndarray) -> np.ndarray:
+    """Rows sorted by x, then y, each kept once (0.0 and -0.0 are equal)."""
+    c = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
     distinct = np.ones(c.shape[0], bool)
     distinct[1:] = (c[1:] != c[:-1]).any(axis=1)
-    pts = c[distinct].tolist()
-    if len(pts) < 3:
-        raise DegenerateHullError("fewer than three distinct points")
+    return c[distinct]
+
+
+def _monotone_chain(P: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain (1979) over sorted distinct rows, in Python
+    floats: the hull vertices counterclockwise, collinear ones pruned."""
+    pts = P.tolist()
 
     def half(chain_pts):
         out = []
@@ -169,12 +165,62 @@ def convex_hull(ps: PointSet) -> ConvexPolygon:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+# The chain's half over sorted distinct P pushes every point once and pops
+# while `_cross(out[-2], out[-1], p) <= 0`.  Guess its output C: P[0], the
+# points strictly right of the chord P[0] -> P[-1], and P[-1].  Every other
+# point q follows some C[j], the last point of C before it.  Then, by
+# induction over P, the stack is C[:j+1] after C[j] and C[:j+1] + [q] after q
+# whenever
+#   (a) _cross(C[j-1], C[j], C[j+1]) > 0: C[j+1] pops nothing;
+#   (b) _cross(C[j-1], C[j], q) > 0 for j >= 1: q does not pop C[j];
+#   (c) _cross(C[j], q, p) <= 0 for the point p after q: p pops q, and then
+#       by (a) or (b) nothing more.
+# The checks call `_cross` itself on float64 arrays of x and y, which NumPy
+# rounds as Python rounds floats (one rounding per operation, no fused
+# multiply-add), so they are the chain's own comparisons and it returns C.
+def _replayed_half(P: np.ndarray) -> np.ndarray | None:
+    """Indices into P of the chain's half hull over P, or None when the
+    replay cannot certify the guess."""
+    T = P.T  # T[:, i] is a point, or the points at the indices i
+    on = _cross(T[:, 0], T[:, -1], T) < 0.0
+    on[[0, -1]] = True
+    c = np.flatnonzero(on)
+    q = np.flatnonzero(~on)
+    j = np.cumsum(on)[q] - 1
+    jb, qb = j[j >= 1], q[j >= 1]
+    if ((_cross(T[:, c[:-2]], T[:, c[1:-1]], T[:, c[2:]]) > 0.0).all()
+            and (_cross(T[:, c[jb - 1]], T[:, c[jb]], T[:, qb]) > 0.0).all()
+            and (_cross(T[:, c[j]], T[:, q], T[:, q + 1]) <= 0.0).all()):
+        return c
+    return None
+
+
+def convex_hull(ps: PointSet) -> ConvexPolygon:
+    """Convex hull by Andrew's monotone chain; collinear vertices are pruned.
+
+    The vertices are the Python chain's, bit for bit: they come from a NumPy
+    guess that a vectorised replay of the chain's own float comparisons
+    certifies for both halves, or from the chain itself when the replay fails
+    (interior points usually make it fail).  Raises DegenerateHullError when
+    all points are collinear.
+    """
+    if ps.n < 3:
+        raise ValueError("convex hull needs at least three points")
+    P = _sorted_distinct(ps.coords)
+    if P.shape[0] < 3:
+        raise DegenerateHullError("fewer than three distinct points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = _replayed_half(P), _replayed_half(P[::-1])
+    if lower is None or upper is None or lower.size + upper.size < 5:
+        hull = _monotone_chain(P)
+    else:
+        hull = np.concatenate([P[lower[:-1]], P[::-1][upper[:-1]]])
+    if hull.shape[0] < 3:
         raise DegenerateHullError("all points are collinear")
-    return ConvexPolygon(np.array(hull))
+    return ConvexPolygon(hull)
 
 
 def point_segment_distance(px, py, ax, ay, bx, by):
@@ -235,24 +281,26 @@ def write_points(path, ps: PointSet) -> None:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
-# the start of a line that is neither blank nor two tokens of printable ASCII
-# other than '#', split by spaces or tabs
-_ODD_LINE = re.compile(r'^(?![ \t]*[!"$-~]+[ \t]+[!"$-~]+[ \t]*$|[ \t]*$)', re.M)
+# the bytes of a plain file: printable ASCII other than '#', space, tab, newline
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b"#", b"") + b"\t\n"
 
 
 def read_points(path, normalized: bool = False) -> PointSet:
-    """Points from the text format.  A file without an `_ODD_LINE` is parsed
-    in one pass with Python's ``float``; any other, or one with a token
-    ``float`` rejects, goes line by line, so that an error names its line."""
+    """Points from the text format.  A plain file (only `_PLAIN` bytes, not
+    blank) is parsed in one pass by ``np.loadtxt``, whose float parser is
+    Python's, so the values are bit-identical to ``float``'s; any other file,
+    or one loadtxt rejects or reads other than as two columns, goes line by
+    line, so that an error names its line."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw.isascii() and not _ODD_LINE.search(text := raw.decode("ascii")):
+    if raw.strip() and not raw.translate(None, _PLAIN):
         try:
-            xy = np.fromiter(map(float, text.split()), np.float64)
+            xy = np.loadtxt(raw.decode("ascii").split("\n"), comments=None, ndmin=2)
         except ValueError:
             pass
         else:
-            return PointSet(xy.reshape(-1, 2), normalized=normalized)
+            if xy.shape[1] == 2:
+                return PointSet(xy, normalized=normalized)
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):

@@ -5,13 +5,14 @@ exponent fits, margin tracking, CSV emission.
 evenly spaced abscissae.  Sweeps are deterministic given specs and seeds and
 rerunning writes byte-identical CSV.  Rows with zero antipodes are flagged
 vacuous and excluded from fits; rows with n*eps < 10 are kept but a warning
-is printed (counts track the continuum heuristics poorly below that).
+is logged (counts track the continuum heuristics poorly below that).  Messages
+go to the ``antipodal`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .geometry import (
 )
 from .spectral import bound_chain
 
+log = logging.getLogger("antipodal")
 DEFAULT_RATIO_GRID = (0.08, 0.04, 0.02, 0.01, 0.005)
 DEFAULT_SPECTRAL_GRID = (1 / 64, 1 / 128, 1 / 256, 1 / 512, 1 / 1024)
 SPECTRAL_HULL_POINTS = 10_000
@@ -108,11 +110,8 @@ def sweep_ratio(spec: GeneratorSpec, epsilons) -> list[SweepRecord]:
                 f"{spec.label()} failed at eps={eps}: {exc}", records
             ) from exc
         if ps.n * eps < 10.0:
-            print(
-                f"warning: {spec.label()} at eps={eps}: n*eps = {ps.n * eps:.3g} < 10, "
-                "counts may not track continuum behavior",
-                file=sys.stderr,
-            )
+            log.warning("%s at eps=%s: n*eps = %.3g < 10, counts may not track "
+                        "continuum behavior", spec.label(), eps, ps.n * eps)
         if counts.antipodes == 0:
             records.append(
                 SweepRecord(epsilon=eps, size=ps.n, neighbors=counts.neighbors,
@@ -192,7 +191,7 @@ def theorem_margin_report(specs: list[GeneratorSpec], epsilons) -> float:
     """Smallest ratio margin over all non-vacuous rows of all sweeps.
 
     This is the largest universal proportionality constant consistent with
-    every configuration examined; per-spec minima are printed.
+    every configuration examined; per-spec minima are logged at INFO.
     """
     if not specs:
         raise ValueError("at least one generator spec is required")
@@ -203,11 +202,11 @@ def theorem_margin_report(specs: list[GeneratorSpec], epsilons) -> float:
             r.margin for r in sweep_ratio(spec, epsilons) if not r.vacuous
         ]
         if not margins:
-            print(f"{spec.label()}: all rows vacuous", file=sys.stderr)
+            log.warning("%s: all rows vacuous", spec.label())
             continue
         any_rows = True
         m = min(margins)
-        print(f"{spec.label()}: min margin {m:.6g}")
+        log.info("%s: min margin %.6g", spec.label(), m)
         overall = min(overall, m)
     if not any_rows:
         raise VacuousMarginError("every sweep row was vacuous")

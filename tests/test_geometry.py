@@ -1,9 +1,8 @@
 import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
@@ -20,6 +19,7 @@ from antipodal import (
     random_disk_config,
     ratio_margin,
     read_points,
+    reuleaux_boundary_config,
     sweep_spectral,
     thickened_cover_count,
     write_points,
@@ -228,6 +228,91 @@ def test_hull_ignores_duplicate_rows_and_signed_zeros(seed):
                           convex_hull(PointSet(distinct)).vertices)
 
 
+@st.composite
+def _hull_inputs(draw):
+    """Point sets on which float rounding decides the chain's pops: nearly
+    collinear points, circles with 1e-16 jitter or rounded to a lattice,
+    flattened circles, rectangles with points on their sides, convex and
+    mostly interior sets, small grids; with duplicate rows and signed zeros
+    mixed in."""
+    kind = draw(st.sampled_from(
+        ["collinear", "jitter", "lattice", "flat", "sides", "convex", "interior", "grid"]))
+    n = draw(st.integers(3, 200))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = gen.uniform(0.0, 2.0 * math.pi, n)
+    circle = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
+    if kind == "collinear":
+        s = gen.uniform(-1.0, 1.0, n)
+        xy = np.column_stack([s, gen.uniform(-1.0, 1.0) * s + gen.uniform(-1.0, 1.0)])
+        xy += gen.integers(-3, 4, (n, 2)) * np.spacing(np.abs(xy))
+    elif kind == "jitter":
+        xy = circle + gen.uniform(-1e-16, 1e-16, (n, 2))
+    elif kind == "lattice":
+        scale = draw(st.sampled_from([4.0, 16.0, 100.0, 2.0**20]))
+        xy = np.round(circle * scale) / scale
+    elif kind == "flat":
+        xy = circle * [1.0, 1e-15]
+    elif kind == "sides":
+        s, side = gen.uniform(-1.0, 1.0, n), gen.integers(0, 2, n)
+        xy = np.vstack([np.column_stack([s, np.where(side, 0.5, -0.5)]),
+                        np.column_stack([np.where(side, 1.0, -1.0), s / 2])[: n // 2],
+                        [[-1.0, -0.5], [1.0, -0.5], [1.0, 0.5], [-1.0, 0.5]]])
+    elif kind == "convex":
+        xy = circle
+    elif kind == "interior":
+        xy = np.vstack([circle[:4], gen.uniform(-0.3, 0.3, (n, 2))])
+    else:
+        xy = gen.integers(-2, 3, (n, 2)) * draw(st.sampled_from([0.5, 0.1, 1 / 3]))
+    if draw(st.booleans()):
+        xy = np.vstack([xy, xy[gen.integers(0, xy.shape[0], n // 2)]])
+    if draw(st.booleans()):
+        r = 0.5
+        xy = np.vstack([xy, [[0.0, r], [-0.0, r], [r, -0.0], [0.0, -r], [-r, 0.0], [-0.0, 0.0]]])
+    flip = (xy == 0.0) & (gen.random(xy.shape) < 0.5)
+    xy = np.where(flip, -xy, xy)
+    return xy[gen.permutation(xy.shape[0])]
+
+
+@given(_hull_inputs())
+# nearly collinear: the chain pops (-0.378..., -0.186...) off the upper half at
+# a cross product that rounds to exactly 0, a tie the replay's check (b) meets
+@example(np.array([[-0.7681761853813037, -0.5576181053972075],
+                   [-0.6939269821046359, -0.48700797105195726],
+                   [-0.37822792853189396, -0.18678181909748068],
+                   [0.2525443098909898, 0.41307529088837225]]))
+@settings(max_examples=300, deadline=None)
+def test_hull_is_the_monotone_chain(xy):
+    ps = PointSet(xy)
+    P = geometry._sorted_distinct(ps.coords)
+    want = geometry._monotone_chain(P) if P.shape[0] >= 3 else np.empty((0, 2))
+    if want.shape[0] < 3:
+        with pytest.raises(DegenerateHullError):
+            convex_hull(ps)
+    else:
+        got = convex_hull(ps).vertices
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: circle_config(10_000),
+    lambda: reuleaux_boundary_config(10_000, seed=1),
+    # (0.5, 0) and (1, 0) lie on the chord; (1, 0) pops (0.5, 0) off (0, 0)
+    # at a cross product of exactly 0
+    lambda: PointSet.from_points([(0, 0), (0.5, 0), (1, 0), (1.5, -1), (1.5, 1), (3, 0)]),
+])
+def test_hull_of_convex_inputs_skips_the_python_chain(make):
+    ps = make()
+    want = geometry._monotone_chain(geometry._sorted_distinct(ps.coords))
+
+    def refuse(P):
+        raise AssertionError("the replay should have certified this hull")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_monotone_chain", refuse)
+        got = convex_hull(ps).vertices
+    assert got.tobytes() == want.tobytes()
+
+
 def test_hull_collinear_is_distinct_error():
     ps = PointSet.from_points([(0, 0), (0.3, 0.3), (0.7, 0.7), (1, 1)])
     with pytest.raises(DegenerateHullError):
@@ -323,9 +408,9 @@ def _read_both_ways(path):
     """read_points as it is, and with every file sent line by line: each is
     the coordinates read or the (type, message) of the error raised."""
     out = []
-    for odd in (geometry._ODD_LINE, re.compile("^")):
+    for plain in (geometry._PLAIN, b""):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "_ODD_LINE", odd)
+            mp.setattr(geometry, "_PLAIN", plain)
             try:
                 out.append(read_points(path).coords)
             except ValueError as exc:
@@ -341,7 +426,9 @@ _LINES = st.one_of(
     st.tuples(_TOKENS, _TOKENS).map(" ".join),
     st.tuples(st.sampled_from(["", " ", "\t"]), _TOKENS, st.sampled_from([" ", "\t", " \t "]),
               _TOKENS, st.sampled_from(["", " ", "\t"])).map("".join),
-    st.sampled_from(["", " ", "\t ", "# comment", "1 2 3", "7", " 0.5 ", "1 2\r", "1\x0c2"]),
+    st.sampled_from(["", " ", "\t ", "# comment", "1 2 3", "7", " 0.5 ", "1 2\r", "1\x0c2",
+                     "1 2\x0c3 4", "1\x0b2", "1.5.3 2", "1-2 3", "0x1p3 1", "1d5 2",
+                     "Infinity 1", "4.9e-324 2.5e-324"]),
 )
 
 
@@ -355,6 +442,20 @@ def test_point_io_fast_path_reads_like_the_line_loop(tmp_path_factory, lines, fi
         assert fast == slow
     else:
         assert fast.tobytes() == slow.tobytes() and fast.shape == slow.shape
+
+
+def test_point_io_empty_file_has_no_points(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(b"")
+    fast, slow = _read_both_ways(path)
+    assert fast.shape == slow.shape == (0, 2)
+
+
+def test_point_io_blank_file_has_no_points(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(b" \n\t\n\n")
+    fast, slow = _read_both_ways(path)
+    assert fast.shape == slow.shape == (0, 2)
 
 
 def test_point_io_errors_name_their_line(tmp_path):

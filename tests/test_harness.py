@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -124,15 +125,15 @@ def test_spectral_family_exponent_windows():
     assert -0.90 <= fit_exponent(recs, "trace").alpha <= -0.65
 
 
-def test_margin_report_monotone_under_more_specs(capsys):
+def test_margin_report_monotone_under_more_specs(caplog):
     base = [GeneratorSpec("circle", 1000)]
     extra = base + [GeneratorSpec("random_disk", 1000, seed=s) for s in (1, 2)]
-    m_base = theorem_margin_report(base, GRID)
-    m_extra = theorem_margin_report(extra, GRID)
+    with caplog.at_level(logging.INFO, logger="antipodal"):
+        m_base = theorem_margin_report(base, GRID)
+        m_extra = theorem_margin_report(extra, GRID)
     assert m_extra <= m_base
     assert m_base > 0
-    out = capsys.readouterr().out
-    assert "min margin" in out
+    assert "circle(n=1000): min margin" in caplog.text
 
 
 def test_margin_report_refuses_all_vacuous():
