@@ -275,7 +275,7 @@ def _hull_inputs(draw):
 
 @given(_hull_inputs())
 # nearly collinear: the chain pops (-0.378..., -0.186...) off the upper half at
-# a cross product that rounds to exactly 0, a tie the replay's check (b) meets
+# a cross product that rounds to exactly 0, a tie the replay's check (b) rejects
 @example(np.array([[-0.7681761853813037, -0.5576181053972075],
                    [-0.6939269821046359, -0.48700797105195726],
                    [-0.37822792853189396, -0.18678181909748068],
@@ -444,16 +444,10 @@ def test_point_io_fast_path_reads_like_the_line_loop(tmp_path_factory, lines, fi
         assert fast.tobytes() == slow.tobytes() and fast.shape == slow.shape
 
 
-def test_point_io_empty_file_has_no_points(tmp_path):
+@pytest.mark.parametrize("content", [b"", b" \n\t\n\n"], ids=["empty", "blank"])
+def test_point_io_file_without_points(tmp_path, content):
     path = tmp_path / "pts.txt"
-    path.write_bytes(b"")
-    fast, slow = _read_both_ways(path)
-    assert fast.shape == slow.shape == (0, 2)
-
-
-def test_point_io_blank_file_has_no_points(tmp_path):
-    path = tmp_path / "pts.txt"
-    path.write_bytes(b" \n\t\n\n")
+    path.write_bytes(content)
     fast, slow = _read_both_ways(path)
     assert fast.shape == slow.shape == (0, 2)
 
