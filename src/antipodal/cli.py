@@ -18,9 +18,7 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
-from . import annuli, boundary, generators, geometry, harness, spectral
+from . import annuli, boundary, generators, geometry, harness
 
 _KIND_ALIASES = {
     "circle": "circle",
@@ -101,15 +99,13 @@ def _cmd_annuli(args) -> int:
     return 0
 
 
-def _load_graph(args):
-    ps = geometry.read_points(args.points)
-    hull = geometry.convex_hull(ps)
-    boxing = boundary.discretize_boundary(hull, args.epsilon)
-    return boxing, boundary.build_graph(boxing)
+def _load_hull(args):
+    return geometry.convex_hull(geometry.read_points(args.points))
 
 
 def _cmd_graph_stats(args) -> int:
-    boxing, graph = _load_graph(args)
+    boxing = boundary.discretize_boundary(_load_hull(args), args.epsilon)
+    graph = boundary.build_graph(boxing)
     max_nds = boundary.max_neighborhood_degree_sum(graph)
     max_tail = boundary.max_scaled_tail(boxing, graph)
     print("k,edges,max_degree,max_nbr_deg_sum,max_s_Ts_over_k")
@@ -121,14 +117,9 @@ def _cmd_graph_stats(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    _, graph = _load_graph(args)
     # bound_chain itself raises when the ordering invariant fails
-    report = spectral.bound_chain(graph)
-    print("epsilon,k,lambda1,cw,sqrtdeg,trace")
-    print(
-        f"{args.epsilon!r},{graph.k},{report.lambda1!r},{report.cw_bound!r},"
-        f"{report.sqrt_degree_bound!r},{report.trace_bound!r}"
-    )
+    record = harness.spectral_record(_load_hull(args), args.epsilon)
+    print("\n".join(harness.spectral_csv_rows([record])))
     return 0
 
 
@@ -144,7 +135,7 @@ def _cmd_sweep(args) -> int:
         ok = all(
             r.vacuous or r.margin >= 0.0 for r in records
         ) and all(
-            r.neighbors + (r.antipodes or 0) <= r.size * (r.size - 1) // 2
+            r.neighbors + r.antipodes <= r.size * (r.size - 1) // 2
             for r in records
         )
         return 0 if ok else 1

@@ -81,7 +81,7 @@ class ConvexPolygon:
     """Strictly convex polygon, vertices in counterclockwise order."""
 
     vertices: np.ndarray
-    perimeter: float = field(default=0.0)
+    perimeter: float = field(init=False)
 
     def __post_init__(self):
         verts = _as_coords(self.vertices)

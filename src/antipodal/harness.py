@@ -20,6 +20,7 @@ import numpy as np
 from .boundary import build_graph, discretize_boundary
 from .generators import GeneratorSpec, circle_config, make_config
 from .geometry import (
+    ConvexPolygon,
     PairCounts,
     PointSet,
     VacuousMarginError,
@@ -41,21 +42,40 @@ SPECTRAL_COLUMNS = ("epsilon", "k", "lambda1", "cw", "sqrtdeg", "trace")
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One row of a sweep; the spectral fields are None for ratio sweeps
-    and vice versa."""
+class RatioRecord:
+    """One ratio-sweep row: the pair counts measured at one ε.  A row with no
+    antipodes is vacuous, and its ratio and margin are None."""
 
     epsilon: float
     size: int
-    neighbors: int | None = None
-    antipodes: int | None = None
-    ratio: float | None = None
-    margin: float | None = None
-    lambda1: float | None = None
-    cw: float | None = None
-    sqrtdeg: float | None = None
-    trace: float | None = None
-    vacuous: bool = False
+    neighbors: int
+    antipodes: int
+
+    @property
+    def vacuous(self) -> bool:
+        return self.antipodes == 0
+
+    @property
+    def ratio(self) -> float | None:
+        return None if self.vacuous else self.neighbors / self.antipodes
+
+    @property
+    def margin(self) -> float | None:
+        if self.vacuous:
+            return None
+        return ratio_margin(PairCounts(self.neighbors, self.antipodes, self.epsilon))
+
+
+@dataclass(frozen=True)
+class SpectralRecord:
+    """One spectral-sweep row: the box count k and the bound chain at one ε."""
+
+    epsilon: float
+    size: int
+    lambda1: float
+    cw: float
+    sqrtdeg: float
+    trace: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +89,7 @@ class ExponentFit:
 class SweepAborted(RuntimeError):
     """A row failed; carries the rows completed before the failure."""
 
-    def __init__(self, message: str, partial: list[SweepRecord]):
+    def __init__(self, message: str, partial: list):
         super().__init__(message)
         self.partial = partial
 
@@ -83,7 +103,7 @@ def _check_ratio_grid(epsilons) -> list[float]:
     return eps
 
 
-def sweep_ratio(spec: GeneratorSpec, epsilons) -> list[SweepRecord]:
+def sweep_ratio(spec: GeneratorSpec, epsilons) -> list[RatioRecord]:
     """Pair counts, ratio, and margin for one generator across an ε grid.
 
     arc_center is regenerated and counted at every ε (its construction
@@ -91,7 +111,7 @@ def sweep_ratio(spec: GeneratorSpec, epsilons) -> list[SweepRecord]:
     counted on that fixed point set in one pass.
     """
     eps_list = _check_ratio_grid(epsilons)
-    records: list[SweepRecord] = []
+    records: list[RatioRecord] = []
     base: PointSet | None = None
     grid: list[PairCounts] = []
     if spec.kind != "arc_center":
@@ -112,64 +132,41 @@ def sweep_ratio(spec: GeneratorSpec, epsilons) -> list[SweepRecord]:
         if ps.n * eps < 10.0:
             log.warning("%s at eps=%s: n*eps = %.3g < 10, counts may not track "
                         "continuum behavior", spec.label(), eps, ps.n * eps)
-        if counts.antipodes == 0:
-            records.append(
-                SweepRecord(epsilon=eps, size=ps.n, neighbors=counts.neighbors,
-                            antipodes=0, vacuous=True)
-            )
-            continue
-        records.append(
-            SweepRecord(
-                epsilon=eps,
-                size=ps.n,
-                neighbors=counts.neighbors,
-                antipodes=counts.antipodes,
-                ratio=counts.neighbors / counts.antipodes,
-                margin=ratio_margin(counts),
-            )
-        )
+        records.append(RatioRecord(eps, ps.n, counts.neighbors, counts.antipodes))
     return records
 
 
-def sweep_spectral(epsilons, hull_points: int = SPECTRAL_HULL_POINTS) -> list[SweepRecord]:
+def spectral_record(hull: ConvexPolygon, epsilon: float) -> SpectralRecord:
+    """The bound chain of the antipodal box graph of `hull` at ε, as one row."""
+    boxing = discretize_boundary(hull, epsilon)
+    report = bound_chain(build_graph(boxing))
+    return SpectralRecord(epsilon, boxing.k, report.lambda1, report.cw_bound,
+                          report.sqrt_degree_bound, report.trace_bound)
+
+
+def sweep_spectral(epsilons, hull_points: int = SPECTRAL_HULL_POINTS) -> list[SpectralRecord]:
     """Bound chain across an ε grid on the fixed diameter-1 circle boundary.
 
     The hull source is the convex hull of circle_config(hull_points).
     """
     eps_list = [_check_epsilon(e) for e in epsilons]
     hull = convex_hull(circle_config(hull_points))
-    records: list[SweepRecord] = []
+    records: list[SpectralRecord] = []
     for eps in eps_list:
         try:
-            boxing = discretize_boundary(hull, eps)
-            graph = build_graph(boxing)
-            report = bound_chain(graph)
+            records.append(spectral_record(hull, eps))
         except Exception as exc:
             raise SweepAborted(f"spectral sweep failed at eps={eps}: {exc}",
                                records) from exc
-        records.append(
-            SweepRecord(
-                epsilon=eps,
-                size=boxing.k,
-                lambda1=report.lambda1,
-                cw=report.cw_bound,
-                sqrtdeg=report.sqrt_degree_bound,
-                trace=report.trace_bound,
-            )
-        )
     return records
 
 
-_FIT_FIELDS = {
-    "neighbors", "antipodes", "ratio", "margin", "lambda1", "cw", "sqrtdeg", "trace",
-}
-
-
-def fit_exponent(records: list[SweepRecord], fit_field: str) -> ExponentFit:
+def fit_exponent(records: list, fit_field: str) -> ExponentFit:
     """OLS of log(field) against log(ε) over the non-vacuous records."""
-    if fit_field not in _FIT_FIELDS:
+    if fit_field not in RATIO_COLUMNS[2:] + SPECTRAL_COLUMNS[2:]:
         raise ValueError(f"unknown fit field {fit_field!r}")
-    usable = [r for r in records if not r.vacuous and getattr(r, fit_field) is not None]
+    usable = [r for r in records if not getattr(r, "vacuous", False)
+              and getattr(r, fit_field, None) is not None]
     if len(usable) < 3:
         raise ValueError(f"need at least 3 non-vacuous records, have {len(usable)}")
     values = np.array([getattr(r, fit_field) for r in usable], dtype=np.float64)
@@ -225,24 +222,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def ratio_csv_rows(records: list[SweepRecord]) -> list[str]:
-    lines = [",".join(RATIO_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(_fmt(v) for v in
-                     (r.epsilon, r.size, r.neighbors, r.antipodes, r.ratio, r.margin))
-        )
-    return lines
+def _csv_rows(columns: tuple[str, ...], records: list) -> list[str]:
+    # the second column is each record's size, named n or k
+    fields = ("epsilon", "size") + columns[2:]
+    return [",".join(columns)] + [
+        ",".join(_fmt(getattr(r, f)) for f in fields) for r in records
+    ]
 
 
-def spectral_csv_rows(records: list[SweepRecord]) -> list[str]:
-    lines = [",".join(SPECTRAL_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(_fmt(v) for v in
-                     (r.epsilon, r.size, r.lambda1, r.cw, r.sqrtdeg, r.trace))
-        )
-    return lines
+def ratio_csv_rows(records: list[RatioRecord]) -> list[str]:
+    return _csv_rows(RATIO_COLUMNS, records)
+
+
+def spectral_csv_rows(records: list[SpectralRecord]) -> list[str]:
+    return _csv_rows(SPECTRAL_COLUMNS, records)
 
 
 def write_csv(path, lines: list[str]) -> None:

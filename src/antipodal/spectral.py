@@ -140,6 +140,15 @@ def perron_pair(
     Returns (λ1, nonnegative vector on the full vertex set; isolated
     vertices carry zero).
     """
+    lam, v, _ = _certified_perron(G, tol, max_iter)
+    return lam, v
+
+
+def _certified_perron(
+    G: AntipodalGraph, tol: float, max_iter: int
+) -> tuple[float, np.ndarray, float]:
+    """`perron_pair`'s (λ, v) and the residual ||M v - λ v|| / ||v|| that
+    certified it."""
     _require_edges(G)
     _check_solver_args(tol, max_iter)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -184,7 +193,7 @@ def perron_pair(
             f"eigen-residual {resid:.3g} fails the certificate at λ = {lam!r}",
             estimate=lam,
         )
-    return lam, v
+    return lam, v, resid / math.sqrt(vv)
 
 
 def lambda1(
@@ -215,11 +224,7 @@ def lambda1_bracket(
     the rounding of the products, so on a graph whose v is exact (a regular
     graph, say) lower may exceed upper by a few ulps.
     """
-    _, v = perron_pair(G, tol, max_iter)
-    mv = G.matvec(v)
-    vv = float(v @ v)
-    lower = float(v @ mv) / vv
-    residual = float(np.linalg.norm(mv - lower * v)) / math.sqrt(vv)
+    lower, v, residual = _certified_perron(G, tol, max_iter)
     upper = collatz_wielandt_bound(G, np.maximum(v, np.finfo(np.float64).tiny))
     return lower, upper, residual
 

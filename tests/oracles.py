@@ -5,6 +5,7 @@ and shares no code with the library paths it checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -191,4 +192,32 @@ def occupancy_raster_brute(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
         b2 = (xb * xb)[None, :] + y2
         inside = (a2 >= ri2) & (a2 <= ro2) & (b2 >= ri2) & (b2 <= ro2)
         occ[r] = inside.reshape(res, ncol, res).any(axis=(0, 2))
+    return occ
+
+
+def occupancy_exact_brute(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
+    """Occupancy grid with every membership test decided exactly.
+
+    The samples are the kernel's floats, (i + (s + 1/2) / res) * pitch
+    rounded once.  From there on (x + d/2)**2 + y**2 and (x - d/2)**2 + y**2
+    are compared with r_in**2 and r_out**2 as `Fraction`s, so no rounding of
+    a sum or a square can move a sample across a circle.
+    """
+    ri2 = Fraction(r_in) ** 2
+    ro2 = Fraction(r_out) ** 2
+    hx = Fraction(d) / 2
+    subs = [(s + 0.5) / res for s in range(res)]
+    # per sample column: its cell and both squared center offsets
+    cols = []
+    for c in range(ix1 - ix0 + 1):
+        for sub in subs:
+            x = Fraction((ix0 + c + sub) * pitch)
+            cols.append((c, (x + hx) ** 2, (x - hx) ** 2))
+    occ = np.zeros((iy1 - iy0 + 1, ix1 - ix0 + 1), np.bool_)
+    for r in range(occ.shape[0]):
+        for sub in subs:
+            y2 = Fraction((iy0 + r + sub) * pitch) ** 2
+            for c, a2, b2 in cols:
+                if not occ[r, c] and ri2 <= a2 + y2 <= ro2 and ri2 <= b2 + y2 <= ro2:
+                    occ[r, c] = True
     return occ

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from antipodal import read_points
 from antipodal.cli import main
+from antipodal.harness import spectral_csv_rows, sweep_spectral
 
 
 def test_gen_writes_point_file(tmp_path):
@@ -107,6 +110,15 @@ def test_sweep_spectral_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_spectral_prints_the_sweep_row(tmp_path, capsys):
+    # write_points round-trips by repr, so both see the same circle hull
+    pts = tmp_path / "c.txt"
+    assert main(["gen", "--kind", "circle", "--n", "2000", "--out", str(pts)]) == 0
+    assert main(["spectral", "--points", str(pts), "--epsilon", str(1 / 64)]) == 0
+    want = spectral_csv_rows(sweep_spectral((1 / 64,), hull_points=2000))
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
 def test_sweep_rejects_bad_grid(tmp_path):
     rc = main(
         ["sweep", "--kind", "ratio", "--eps-start", "0.08", "--eps-factor",
@@ -138,3 +150,40 @@ def test_gen_into_missing_directory_is_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_BAD_POINT_FILES = {
+    "nan": "0 0\n1 0\nnan 0.5\n",
+    "inf": "0 0\n1 0\ninf 0.5\n",
+    "overflow": "0 0\n1 0\n1e400 0.5\n",
+    "comment-only": "# no points\n",
+    "empty": "",
+    "one-point": "0.5 0.5\n",
+    "collinear": "0 0\n0.5 0\n1 0\n",
+}
+_CIRCLE = "".join(f"{0.5 * math.cos(t)!r} {0.5 * math.sin(t)!r}\n"
+                  for t in 2 * math.pi * np.arange(200) / 200)
+
+
+@pytest.mark.parametrize("command", ["graph-stats", "spectral"])
+def test_bad_epsilon_cases_use_a_good_file(tmp_path, command):
+    pts = tmp_path / "p.txt"
+    pts.write_text(_CIRCLE)
+    assert main([command, "--points", str(pts), "--epsilon", "0.05"]) == 0
+
+
+@pytest.mark.parametrize("command", ["graph-stats", "spectral"])
+@pytest.mark.parametrize(
+    "text,eps",
+    [(text, "0.05") for text in _BAD_POINT_FILES.values()]
+    + [(_CIRCLE, eps) for eps in ("0", "0.5", "-0.1", "nan")],
+    ids=[*_BAD_POINT_FILES, "eps-0", "eps-0.5", "eps-negative", "eps-nan"],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, command, text, eps):
+    pts = tmp_path / "p.txt"
+    pts.write_text(text)
+    assert main([command, "--points", str(pts), "--epsilon", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

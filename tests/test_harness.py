@@ -6,9 +6,11 @@ import pytest
 
 from antipodal import (
     GeneratorSpec,
+    PairCounts,
     SweepAborted,
     VacuousMarginError,
     fit_exponent,
+    ratio_margin,
     sweep_ratio,
     sweep_spectral,
     theorem_margin_report,
@@ -16,7 +18,8 @@ from antipodal import (
 from antipodal.harness import (
     RATIO_COLUMNS,
     SPECTRAL_COLUMNS,
-    SweepRecord,
+    RatioRecord,
+    SpectralRecord,
     geometric_grid,
     ratio_csv_rows,
     spectral_csv_rows,
@@ -28,21 +31,30 @@ GRID = (0.08, 0.04, 0.02, 0.01, 0.005)
 
 def synthetic_records(fn):
     return [
-        SweepRecord(epsilon=e, size=100, neighbors=1, antipodes=1, ratio=fn(e),
-                    margin=1.0)
+        SpectralRecord(epsilon=e, size=100, lambda1=fn(e), cw=1.0, sqrtdeg=1.0,
+                       trace=1.0)
         for e in GRID
     ]
 
 
+def test_ratio_record_derives_ratio_and_margin_from_its_counts():
+    r = RatioRecord(epsilon=0.05, size=10, neighbors=6, antipodes=3)
+    assert not r.vacuous
+    assert r.ratio == 2.0
+    assert r.margin == ratio_margin(PairCounts(6, 3, 0.05))
+    v = RatioRecord(epsilon=0.05, size=10, neighbors=6, antipodes=0)
+    assert v.vacuous and v.ratio is None and v.margin is None
+
+
 def test_fit_exact_linear_power_law():
-    fit = fit_exponent(synthetic_records(lambda e: e), "ratio")
+    fit = fit_exponent(synthetic_records(lambda e: e), "lambda1")
     assert fit.alpha == pytest.approx(1.0, abs=1e-12)
     assert fit.residual <= 1e-12
     assert fit.points_used == 5
 
 
 def test_fit_exact_sqrt_power_law_with_prefactor():
-    fit = fit_exponent(synthetic_records(lambda e: 7.0 * e**0.5), "ratio")
+    fit = fit_exponent(synthetic_records(lambda e: 7.0 * e**0.5), "lambda1")
     assert fit.alpha == pytest.approx(0.5, abs=1e-12)
     assert fit.intercept == pytest.approx(math.log(7.0), abs=1e-12)
     assert fit.residual <= 1e-12
@@ -50,19 +62,15 @@ def test_fit_exact_sqrt_power_law_with_prefactor():
 
 def test_fit_requires_three_usable_points():
     with pytest.raises(ValueError):
-        fit_exponent(synthetic_records(lambda e: e)[:2], "ratio")
-    vac = [
-        SweepRecord(epsilon=e, size=10, neighbors=0, antipodes=0, vacuous=True)
-        for e in GRID
-    ]
+        fit_exponent(synthetic_records(lambda e: e)[:2], "lambda1")
+    vac = [RatioRecord(epsilon=e, size=10, neighbors=0, antipodes=0) for e in GRID]
     with pytest.raises(ValueError):
         fit_exponent(vac, "ratio")
 
 
 def test_fit_rejects_nonpositive_values():
     recs = [
-        SweepRecord(epsilon=e, size=10, neighbors=0, antipodes=5, ratio=0.0, margin=0.0)
-        for e in GRID
+        RatioRecord(epsilon=e, size=10, neighbors=0, antipodes=5) for e in GRID
     ]
     with pytest.raises(ValueError):
         fit_exponent(recs, "ratio")
@@ -160,7 +168,7 @@ def test_csv_headers_and_determinism(tmp_path):
 
 
 def test_vacuous_rows_have_empty_cells():
-    recs = [SweepRecord(epsilon=0.05, size=5, neighbors=2, antipodes=0, vacuous=True)]
+    recs = [RatioRecord(epsilon=0.05, size=5, neighbors=2, antipodes=0)]
     line = ratio_csv_rows(recs)[1]
     assert line == "0.05,5,2,0,,"
 

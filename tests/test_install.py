@@ -21,3 +21,16 @@ def _declared():
 @pytest.mark.parametrize("name", _declared())
 def test_declared_dependency_is_importable(name):
     assert importlib.util.find_spec(name.replace("-", "_")) is not None
+
+
+def test_all_lists_exactly_the_public_names():
+    import types
+
+    import antipodal
+
+    bound = {name for name, value in vars(antipodal).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(antipodal.__all__) == bound
+    assert len(antipodal.__all__) == len(bound)
+    for name in antipodal.__all__:
+        assert getattr(antipodal, name) is not None

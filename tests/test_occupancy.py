@@ -1,6 +1,8 @@
 """The bisected occupancy grid equals the full res x res sample evaluation
 (`oracles.occupancy_raster_brute`) cell for cell, on cover windows, on
-arbitrary windows and radii, and on windows with sample rows below y = 0."""
+arbitrary windows and radii, and on windows with sample rows below y = 0;
+near the smallest admissible ε it also equals the same samples decided in
+exact arithmetic (`oracles.occupancy_exact_brute`)."""
 
 import contextlib
 import tracemalloc
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from antipodal import AnnulusPairConfig, cover_count, kernels
 from antipodal.annuli import occupancy_grid, thickened_cover_count
 
-from oracles import occupancy_raster_brute
+from oracles import occupancy_exact_brute, occupancy_raster_brute
 
 # the annuli-covers benchmark lattice: thickened covers where d >= 12*eps
 LATTICE = [(d, eps) for eps in (0.0005, 0.001, 0.002, 0.005, 0.01)
@@ -84,6 +86,21 @@ def test_arbitrary_windows(d, r_in, width, pitch, ix0, iy0, ncol, nrow, res):
     _assert_matches_oracle(
         (d, r_in, r_in + width, pitch, ix0, ix0 + ncol - 1, iy0, iy0 + nrow - 1, res)
     )
+
+
+def test_float_membership_matches_exact_arithmetic():
+    # at eps = 3.2e-15 the squared radii are a few dozen ulps apart, and the
+    # cover is 12 against 10 at 1e-14: the samples decide that, not rounding
+    with recorded_windows() as windows:
+        for eps in (3.2e-15, 5e-15, 1e-14, 1e-13, 1e-12, 0.01, 0.05):
+            cover_count(AnnulusPairConfig(d=1.0, epsilon=eps))
+        for d, eps in [(1.0, 0.01), (0.5, 0.01), (1.0, 1e-14)]:
+            thickened_cover_count(d, eps)
+    covers = [int(kernels.annuli_occupancy_grid(*args).sum()) for args in windows]
+    assert covers[:3] == [12, 10, 10]
+    for args in windows:
+        assert np.array_equal(kernels.annuli_occupancy_grid(*args),
+                              occupancy_exact_brute(*args)), args
 
 
 @pytest.mark.parametrize("d,r_in,r_out", [(1.25, 0.625, 2.0), (0.75, 0.0, 0.625)])
