@@ -327,14 +327,16 @@ _COUNT_STEP = np.array([-1, 1, 0, 0])
 _DEPTH_STEP = np.array([0, 0, -1, 1])
 
 
-def _far_segments(G: AntipodalGraph, near, i0: int, i1: int):
+def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
     """Rows i0 .. i1 - 1 of A·A outside the near sets, as segments
     (row - i0, count, length) of consecutive j with one count > 0.
 
     Every run of every m in N(i) adds +1 at its lo and -1 at its hi to the
     count of row i, and every near run of i does the same to a near depth;
     sorted, the running sums of these events are both piecewise constant, and
-    a segment is far where its depth is 0.
+    a segment is far where its depth is 0.  The sweep writes into `work`,
+    five int64 arrays and one bool array of at least the block's event
+    count, so that no block allocates (and faults in) its own.
     """
     k = G.k
     ptr = G.run_ptr
@@ -348,17 +350,23 @@ def _far_segments(G: AntipodalGraph, near, i0: int, i1: int):
     nbase = (nrow[n] - i0) * (k + 1)
     # key = 4 * (row * (k + 1) + position) + kind: 0 / 1 close / open a
     # neighbor's run, 2 / 3 close / open a near run
-    events = np.sort(np.concatenate([(base + G.hi[runs]) * 4, (base + G.lo[runs]) * 4 + 1,
-                                     (nbase + nhi[n]) * 4 + 2, (nbase + nlo[n]) * 4 + 3]))
-    kind = events & 3
-    count = np.cumsum(_COUNT_STEP[kind])[:-1]
-    depth = np.cumsum(_DEPTH_STEP[kind])[:-1]
-    key = events >> 2
-    length = np.diff(key)
+    parts = [(base + G.hi[runs]) * 4, (base + G.lo[runs]) * 4 + 1,
+             (nbase + nhi[n]) * 4 + 2, (nbase + nlo[n]) * 4 + 3]
+    e = sum(part.shape[0] for part in parts)
+    events, kind, count, depth, length, far = (w[:e] for w in work)
+    np.concatenate(parts, out=events)
+    events.sort()
+    np.bitwise_and(events, 3, out=kind)
+    np.cumsum(np.take(_COUNT_STEP, kind, out=count), out=count)
+    np.cumsum(np.take(_DEPTH_STEP, kind, out=depth), out=depth)
+    key = np.right_shift(events, 2, out=events)
+    np.subtract(key[1:], key[:-1], out=length[:-1])
     # a row's events end with both sums back at 0, so a far segment never
     # crosses into the next row
-    far = (count > 0) & (depth == 0) & (length > 0)
-    return key[:-1][far] // (k + 1), count[far], length[far]
+    far = np.greater(count[:-1], 0, out=far[:-1])
+    far &= depth[:-1] == 0
+    far &= length[:-1] > 0
+    return key[:-1][far] // (k + 1), count[:-1][far], length[:-1][far]
 
 
 def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
@@ -389,12 +397,14 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     bound = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), out=bound[1:])
     budget = kernels._BLOCK_ELEMS // _TAIL_SHARE
+    size = max(budget, int(np.diff(bound).max()))
+    work = [np.empty(size, np.int64) for _ in range(5)] + [np.empty(size, bool)]
     best = 0
     i0 = 0
     while i0 < k:
         i1 = int(np.searchsorted(bound, bound[i0] + budget, side="right")) - 1
         i1 = max(i0 + 1, min(i1, k))
-        row, count, length = _far_segments(G, near, i0, i1)
+        row, count, length = _far_segments(G, near, i0, i1, work)
         order = np.lexsort((-count, row))
         row, count, length = row[order], count[order], length[order]
         total = np.cumsum(length)

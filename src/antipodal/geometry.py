@@ -134,7 +134,7 @@ def pair_counts(ps: PointSet, epsilon: float) -> PairCounts:
 
 
 def diameter(ps: PointSet) -> float:
-    """Maximum pairwise distance; exact, over the cell pairs that can hold it."""
+    """Maximum pairwise distance; exact, over the chunk pairs that can hold it."""
     if ps.n < 2:
         raise ValueError("diameter needs at least two points")
     return math.sqrt(kernels.max_pairwise_distance_sq(ps.coords))
@@ -281,21 +281,28 @@ def write_points(path, ps: PointSet) -> None:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
-# the bytes of a plain file: printable ASCII other than '#', space, tab, newline
-_PLAIN = bytes(range(0x20, 0x7F)).replace(b"#", b"") + b"\t\n"
+# the bytes of a plain file: printable ASCII, tab, LF and CR
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 def read_points(path, normalized: bool = False) -> PointSet:
-    """Points from the text format.  A plain file (only `_PLAIN` bytes, not
-    blank) is parsed in one pass by ``np.loadtxt``, whose float parser is
-    Python's, so the values are bit-identical to ``float``'s; any other file,
-    or one loadtxt rejects or reads other than as two columns, goes line by
+    """Points from the text format.  A plain file (only `_PLAIN` bytes) is
+    cut into lines where text mode cuts them (LF, CRLF or CR), its comment
+    lines are dropped, and what remains, if not blank, is parsed in one pass
+    by ``np.loadtxt``, whose float parser is Python's, so the values are
+    bit-identical to ``float``'s; any other file, or one loadtxt rejects (a
+    trailing comment, say) or reads other than as two columns, goes line by
     line, so that an error names its line."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw.strip() and not raw.translate(None, _PLAIN):
+    lines = []
+    if not raw.translate(None, _PLAIN):
+        lines = raw.decode("ascii").splitlines()
+        if b"#" in raw:
+            lines = [line for line in lines if not line.lstrip().startswith("#")]
+    if any(line.strip() for line in lines):
         try:
-            xy = np.loadtxt(raw.decode("ascii").split("\n"), comments=None, ndmin=2)
+            xy = np.loadtxt(lines, comments=None, ndmin=2)
         except ValueError:
             pass
         else:

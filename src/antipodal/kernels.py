@@ -1,15 +1,23 @@
 """Hot numeric kernels.
 
-Pair counting and the maximum pairwise distance share one exact pure-NumPy
-engine over a uniform cell list, and the box-pair relations (adjacency, and
-the near sets of `boundary`) share one exact builder, `box_pair_runs`, over
-chunks of consecutive boxes.  Both prune whole groups of pairs with one
-bound, `_gap_bounds`, taken from the groups' exact bounding boxes (see the
-comment above it), and evaluate every other pair with the brute-force
-expression, so counts, maxima and runs equal brute force exactly.  One pass
-counts a whole ε grid.  Each box-pair row is emitted as maximal runs of
-consecutive boxes, which expand to the full k×k evaluation entry for entry;
-`box_adjacency_csr` is that expansion for the adjacency.
+Pair counting runs on one exact pure-NumPy engine over a uniform cell list,
+and the box-pair relations (adjacency, and the near sets of `boundary`)
+share one exact builder, `box_pair_runs`, over chunks of consecutive boxes.
+Both prune whole groups of pairs with one bound, `_gap_bounds`, taken from
+the groups' exact bounding boxes (see the comment above it), and evaluate
+every other pair with the brute-force expression, so counts and runs equal
+brute force exactly.  One pass counts a whole ε grid.  Each box-pair row is
+emitted as maximal runs of consecutive boxes, which expand to the full k×k
+evaluation entry for entry; `box_adjacency_csr` is that expansion for the
+adjacency.
+
+The maximum pairwise distance runs over chunks of consecutive points in
+angle order about the bounding-box centre.  A chunk pair is evaluated only
+when both the box bound and the law-of-cosines bound `_polar_bounds` reach
+a lower bound L taken from near-antipodal pairs; the polar bound is tight to
+second order along a curved boundary, where the near-maximal pairs lie.
+Every evaluated pair uses the brute-force expression, so the maximum is the
+brute-force float bit for bit.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows, found by bisection with the
@@ -30,10 +38,8 @@ import numpy as np
 # elements per block for the chunked NumPy paths: each float64 temporary of a
 # block is 8 MB, which bounds their peak memory at a few tens of MB
 _BLOCK_ELEMS = 1_000_000
-# the cell list's tuning: cells hold at least this many points on average,
-# and the diameter's cells are span / _DIAMETER_CELLS wide
+# the cell list's tuning: cells hold at least this many points on average
 _MIN_FILL = 16
-_DIAMETER_CELLS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +58,71 @@ def _bounding_boxes(x, y, starts):
     return tuple(f.reduceat(v, starts) for v in (x, y) for f in (np.minimum, np.maximum))
 
 
-def _gap_bounds(boxes, a, b=slice(None)):
+def _gap_bounds(boxes, a, b):
     """Bounds (lx, ux, ly, uy) on |dx| and |dy| over every pair of a point of
-    a group in `a` (rows) and a point of a group in `b` (columns)."""
+    group a and a point of group b, for the group indices a and b broadcast
+    against each other (a column of rows against a row of columns, say)."""
     out = []
     for lo, hi in (boxes[:2], boxes[2:]):
-        out.append(np.maximum(np.maximum(lo[b] - hi[a, None], lo[a, None] - hi[b]), 0.0))
-        out.append(np.maximum(hi[b] - lo[a, None], hi[a, None] - lo[b]))
+        lo_a, hi_a, lo_b, hi_b = lo[a], hi[a], lo[b], hi[b]
+        out.append(np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0))
+        out.append(np.maximum(hi_b - lo_a, hi_a - lo_b))
     return out
+
+
+# ---------------------------------------------------------------------------
+# a law-of-cosines bound on the distances between two groups of points
+# ---------------------------------------------------------------------------
+# About a centre c, let |p - c| <= Ra and |q - c| <= Rb, and let psi be the
+# angle between p - c and c - q.  Then
+#     |p - q|**2 = |p - c|**2 + |q - c|**2 + 2 |p - c| |q - c| cos(psi)
+#               <= Ra**2 + Rb**2 + 2 Ra Rb max(cos(phi), 0)
+# for any phi <= psi; `_polar_bounds` takes for phi the gap between the angle
+# range of group a, turned by pi, and that of group b.  In floats, fl(p - c)
+# is within 2**-53 relative of p - c (it is exact when tiny, by Sterbenz, or
+# subnormal), arctan2, hypot and cos are accurate to a few ulps, and every
+# other operation rounds by 2**-53 relative.  So the angles are within ~1e-15
+# of the exact ones, which moves the cosine term by at most ~1e-15 of
+# 2 Ra Rb <= Ra**2 + Rb**2, and the radii, the bound and the computed
+# d2 = fl(dx*dx + dy*dy) are within ~1e-14 relative of the exact ones, as
+# long as nothing overflows or underflows.  The pad of _POLAR_PAD relative
+# covers that.  A span of at most _POLAR_MAX_SPAN keeps every radius below
+# 2**400, so nothing overflows.  An underflow loses at most 2**-1074 absolute
+# per operation, so a pair of a chunk pair whose bound B is below L has
+# d2 <= B (1 + 1e-14) / (1 + _POLAR_PAD) + 2**-1069 < L: the pad beats the
+# absolute loss where B >= 2**-1000, and below that d2 < 2**-999 < L once L
+# is at least _POLAR_MIN_L.  Outside these ranges the box bound works alone.
+
+# the polar bound's relative pad, and where it holds (see above)
+_POLAR_PAD = 1e-9
+_POLAR_MAX_SPAN = 2.0**400
+_POLAR_MIN_L = 2.0**-800
+
+
+def _polar_coords(xy, centre):
+    """Distance to `centre` and arctan2 angle about it of every point."""
+    d = xy - centre
+    return np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+
+
+def _polar_boxes(r, t, starts):
+    """(rmax, tmin, tmax) of the groups of consecutive points at `starts`:
+    their largest distance to the centre and the range of their angles."""
+    return np.maximum.reduceat(r, starts), np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
+
+
+def _polar_bounds(boxes, a, b):
+    """Padded upper bounds on d2 over every pair of a point of group a and a
+    point of group b, for group indices broadcast as in `_gap_bounds`."""
+    rad, tmin, tmax = boxes
+    ra = rad[a]
+    rb = rad[b]
+    # the angles of b less those of a turned by pi fill [s, s + width], mod 2 pi
+    s = np.mod(tmin[b] - tmax[a] - np.pi, 2.0 * np.pi)
+    width = (tmax[a] - tmin[a]) + (tmax[b] - tmin[b])
+    phi = np.maximum(np.minimum(s, 2.0 * np.pi - s - width), 0.0)
+    cos = np.maximum(np.cos(phi), 0.0)
+    return (ra * ra + rb * rb + 2.0 * ra * rb * cos) * (1.0 + _POLAR_PAD)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +132,7 @@ def _gap_bounds(boxes, a, b=slice(None)):
 # fixed-radius near neighbours); how the assignment rounds decides only how
 # much is pruned.  Cell pairs whose gap bounds rule out every threshold are
 # skipped whole; every other pair is evaluated with the brute-force expression
-# dx*dx + dy*dy, so counts and maxima equal brute force bit for bit.
+# dx*dx + dy*dy, so counts equal brute force exactly.
 
 class _Cells(NamedTuple):
     xy: np.ndarray  # the points, sorted by cell
@@ -160,25 +223,108 @@ def pair_threshold_counts(xy: np.ndarray, epsilon: float) -> tuple[int, int]:
     return pair_grid_counts(xy, [epsilon])[0]
 
 
-def max_pairwise_distance_sq(xy: np.ndarray) -> float:
-    """Largest d2 over all pairs, evaluated only on cell pairs that can hold it.
+# ---------------------------------------------------------------------------
+# maximum pairwise distance over angle-ordered chunks
+# ---------------------------------------------------------------------------
+# Sorted by angle about the bounding-box centre c, a convex boundary's
+# near-maximal pairs join chunks about pi apart, and `_polar_bounds` rules
+# out the rest to second order.  Each chunk a first takes a window of partner
+# chunks: the polar bound with Rb the largest radius Rmax, solved for phi.
+# Its pad _WINDOW_PAD is looser than _POLAR_PAD, so that rounding in arccos
+# and at the window's ends cannot drop a chunk pair whose polar bound reaches
+# L: where the window is not the whole circle, L > Ra**2 + Rmax**2 >= 2 Ra Rmax,
+# so the extra pad moves the cosine by at least 9e-9 and widens the window by
+# at least 9e-9 radians, far above that rounding.
 
-    L, the largest d2 among one representative point per cell, is a lower
-    bound; a cell pair whose upper bound is below L cannot hold the maximum.
+# points per chunk, and the angular window's pad (see above)
+_ARC_CHUNK = 16
+_WINDOW_PAD = 1e-8
+
+
+def max_pairwise_distance_sq(xy: np.ndarray) -> float:
+    """Largest d2 over all pairs, evaluated only on chunk pairs that can hold it.
+
+    L, the largest d2 of each point with the two points on either side of its
+    antipodal angle, is a lower bound; a chunk pair is evaluated only when its
+    box bound and its polar bound both reach L.
     """
     n = xy.shape[0]
     if n < 2:
         return 0.0
-    span = float(np.ptp(xy, axis=0).max())
-    cells = _cells(xy, span / _DIAMETER_CELLS, _MIN_FILL)
-    reps = cells.xy[cells.starts[:-1]]
+    # per column: a reduction along axis 0 of an (n, 2) array is far slower
+    lo = np.array([xy[:, 0].min(), xy[:, 1].min()])
+    hi = np.array([xy[:, 0].max(), xy[:, 1].max()])
+    r, t = _polar_coords(xy, 0.5 * lo + 0.5 * hi)
+    order = np.argsort(t)
+    x = xy[order, 0]
+    y = xy[order, 1]
+    r = r[order]
+    t = t[order]
+    across = np.searchsorted(t, np.where(t > 0.0, t - np.pi, t + np.pi))
     best = 0.0
-    block = max(1, _BLOCK_ELEMS // reps.shape[0])
-    for i0 in range(0, reps.shape[0], block):
-        dx = reps[i0 : i0 + block, 0:1] - reps[None, :, 0]
-        dy = reps[i0 : i0 + block, 1:2] - reps[None, :, 1]
+    for j in (across - 1, across % n):
+        dx = x - x[j]
+        dy = y - y[j]
         best = max(best, float((dx * dx + dy * dy).max()))
-    for d2 in _pair_blocks(cells, lambda lo2, hi2, low=best: hi2 >= low):
+
+    starts = np.arange(0, n, _ARC_CHUNK)
+    m = starts.shape[0]
+    boxes = _bounding_boxes(x, y, starts)
+    polar = _polar_boxes(r, t, starts)
+    rad, tmin, tmax = polar
+    use_polar = float((hi - lo).max()) <= _POLAR_MAX_SPAN and best >= _POLAR_MIN_L
+    # each chunk's window of partners: `count` chunks from `first` on, mod m
+    first = np.zeros(m, np.int64)
+    count = np.full(m, m)
+    if use_polar:
+        rmax = rad.max()
+        num = best * (1.0 - _WINDOW_PAD) - rad * rad - rmax * rmax
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = num / (2.0 * rad * rmax)
+            # the window reaches `half` past the chunk's angles turned by pi
+            half = np.where(num > 0.0, np.arccos(np.minimum(cosine, 1.0)), np.pi)
+        ends0 = np.concatenate([tmin - 2.0 * np.pi, tmin, tmin + 2.0 * np.pi])
+        ends1 = np.concatenate([tmax - 2.0 * np.pi, tmax, tmax + 2.0 * np.pi])
+        first = np.searchsorted(ends1, tmin + (np.pi - half))
+        count = np.clip(np.searchsorted(ends0, tmax + (np.pi + half), side="right") - first, 0, m)
+        count[(num > 0.0) & (cosine > 1.0)] = 0
+    ends = np.zeros(m + 1, np.int64)
+    np.cumsum(count, out=ends[1:])
+    budget = max(1, _BLOCK_ELEMS // 64)
+    kept = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    a0 = 0
+    while a0 < m:
+        a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + budget, side="right")) - 1)
+        cnt = count[a0:a1]
+        a = np.repeat(np.arange(a0, a1), cnt)
+        b = np.repeat(first[a0:a1] - ends[a0:a1] + ends[a0], cnt) + np.arange(a.shape[0])
+        b %= m
+        # each kept pair is in the window of both its chunks
+        keep = a <= b
+        a, b = a[keep], b[keep]
+        _, ux, _, uy = _gap_bounds(boxes, a, b)
+        keep = ux * ux + uy * uy >= best
+        a, b = a[keep], b[keep]
+        if use_polar:
+            keep = _polar_bounds(polar, a, b) >= best
+            a, b = a[keep], b[keep]
+        kept.append((a, b))
+        a0 = a1
+    a, b = (np.concatenate(v) for v in zip(*kept))
+    # blocks are (16, 16, pairs), so that the inner loops run over pairs; the
+    # last chunk is padded with NaN points, which fmax skips
+    block = max(1, _BLOCK_ELEMS // (_ARC_CHUNK * _ARC_CHUNK))
+    px = np.append(x, np.nan)
+    py = np.append(y, np.nan)
+    span = np.arange(_ARC_CHUNK)
+    for p0 in range(0, a.shape[0], block):
+        i = np.minimum(starts[a[p0 : p0 + block]] + span[:, None, None], n)
+        j = np.minimum(starts[b[p0 : p0 + block]] + span[:, None], n)
+        d2 = px[i] - px[j]
+        dy = py[i] - py[j]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
         best = max(best, float(np.fmax.reduce(d2, axis=None)))
     return best
 
@@ -238,7 +384,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     none = np.empty(0, np.int64)
     pieces = [(none, none, none)]
     for a0 in range(0, starts.shape[0], rows_per):
-        skip, every = decide(*_gap_bounds(boxes, slice(a0, a0 + rows_per)))
+        skip, every = decide(*_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
         if not loops:
             # a chunk's own pairs include i ~ i, so they are evaluated
             own = np.arange(every.shape[0])

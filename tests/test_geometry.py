@@ -428,15 +428,16 @@ _LINES = st.one_of(
               _TOKENS, st.sampled_from(["", " ", "\t"])).map("".join),
     st.sampled_from(["", " ", "\t ", "# comment", "1 2 3", "7", " 0.5 ", "1 2\r", "1\x0c2",
                      "1 2\x0c3 4", "1\x0b2", "1.5.3 2", "1-2 3", "0x1p3 1", "1d5 2",
-                     "Infinity 1", "4.9e-324 2.5e-324"]),
+                     "Infinity 1", "4.9e-324 2.5e-324", " \t# indented", "#1 2", "1 2 # x",
+                     "1 2#", "1 #2"]),
 )
 
 
-@given(st.lists(_LINES, max_size=12), st.booleans())
+@given(st.lists(_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_point_io_fast_path_reads_like_the_line_loop(tmp_path_factory, lines, final_newline):
+def test_point_io_fast_path_reads_like_the_line_loop(tmp_path_factory, lines, end, final_newline):
     path = tmp_path_factory.mktemp("pts") / "pts.txt"
-    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode("ascii"))
+    path.write_bytes((end.join(lines) + (end if final_newline else "")).encode("ascii"))
     fast, slow = _read_both_ways(path)
     if isinstance(slow, tuple):
         assert fast == slow
@@ -450,6 +451,27 @@ def test_point_io_file_without_points(tmp_path, content):
     path.write_bytes(content)
     fast, slow = _read_both_ways(path)
     assert fast.shape == slow.shape == (0, 2)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_point_io_comment_lines_and_crlf_take_the_fast_path(tmp_path, monkeypatch, end):
+    """A written file with comment lines, and CRLF line ends, is read by
+    loadtxt (the line loop's PointSet.from_points is never called) into the
+    line loop's exact floats; a trailing comment still goes to the line loop
+    and fails there, naming its line."""
+    path = tmp_path / "pts.txt"
+    write_points(path, reuleaux_boundary_config(2000, seed=5))
+    body = path.read_text().splitlines()
+    path.write_bytes(end.join(["# reuleaux, n = 2000", *body[:1000], "  # half way",
+                               *body[1000:], ""]).encode("ascii"))
+    fast, slow = _read_both_ways(path)
+    assert fast.tobytes() == slow.tobytes() and fast.shape == slow.shape == (2000, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry.PointSet, "from_points", None)
+        assert read_points(path).coords.tobytes() == fast.tobytes()
+    path.write_bytes(end.join(["# c", "0.25 -0.5", "0.125 0.5 # x", ""]).encode("ascii"))
+    fast, slow = _read_both_ways(path)
+    assert fast == slow == (ValueError, f"{path}:3: expected two reals per line")
 
 
 def test_point_io_errors_name_their_line(tmp_path):

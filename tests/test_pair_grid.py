@@ -131,7 +131,7 @@ def _assert_gap_bounds_hold(x, y, starts):
     two groups."""
     group = np.repeat(np.arange(starts.shape[0]), np.diff(np.append(starts, x.shape[0])))
     lx, ux, ly, uy = (v[group][:, group] for v in kernels._gap_bounds(
-        kernels._bounding_boxes(x, y, starts), slice(None)))
+        kernels._bounding_boxes(x, y, starts), np.s_[:, None], slice(None)))
     ax = np.abs(x[:, None] - x[None, :])
     ay = np.abs(y[:, None] - y[None, :])
     d2 = ax * ax + ay * ay
@@ -156,6 +156,83 @@ def test_gap_bounds_hold_every_pair_at_cell_edges():
         _assert_gap_bounds_hold(cells.xy[:, 0], cells.xy[:, 1], cells.starts[:-1])
         size = int(rng.integers(1, 9))
         _assert_gap_bounds_hold(xy[:, 0], xy[:, 1], np.arange(0, xy.shape[0], size))
+
+
+def _assert_polar_bounds_hold(xy, size=16):
+    """Every computed d2 of a pair of points lies below `kernels._polar_bounds`
+    of their two groups, for groups of `size` consecutive points both in
+    angle order about the bounding-box centre, as the diameter engine cuts
+    them, and in the given order."""
+    centre = 0.5 * xy.min(axis=0) + 0.5 * xy.max(axis=0)
+    r, t = kernels._polar_coords(xy, centre)
+    for order in (np.argsort(t), np.arange(xy.shape[0])):
+        starts = np.arange(0, xy.shape[0], size)
+        group = np.repeat(np.arange(starts.shape[0]), np.diff(np.append(starts, xy.shape[0])))
+        bound = kernels._polar_bounds(kernels._polar_boxes(r[order], t[order], starts),
+                                      group[:, None], group[None, :])
+        ax = xy[order, 0, None] - xy[order, 0]
+        ay = xy[order, 1, None] - xy[order, 1]
+        assert (ax * ax + ay * ay <= bound).all()
+
+
+def _polar_sets():
+    rng = np.random.default_rng(1)
+    angle = rng.random(300) * 2.0 * np.pi
+    circle = 0.5 * np.column_stack([np.cos(angle), np.sin(angle)])
+    yield circle
+    yield reuleaux_boundary_config(400, seed=2).coords
+    yield random_disk_config(400, seed=3).coords
+    # lattice sets: exact ties in angle and in distance, and repeated points
+    yield rng.integers(0, 6, (200, 2)) / 4.0
+    yield rng.integers(-3, 4, (150, 2)).astype(float)
+    # offset far from the origin, and scaled
+    yield circle + 100.0
+    yield 3.7 * circle + np.array([1e6, -2e5])
+    yield 1e-30 * random_disk_config(300, seed=4).coords
+
+
+def test_polar_bounds_hold_every_pair():
+    for xy in _polar_sets():
+        for size in (1, 5, 16):
+            _assert_polar_bounds_hold(xy, size)
+
+
+def test_shrunk_polar_bound_fails(monkeypatch):
+    """The check above sees a bound 1e-3 too small: near-antipodal chunk
+    pairs of the circle reach their bound to second order."""
+    monkeypatch.setattr(kernels, "_POLAR_PAD", -1e-3)
+    with pytest.raises(AssertionError):
+        _assert_polar_bounds_hold(next(_polar_sets()))
+
+
+def _scaled_sets():
+    rng = np.random.default_rng(2)
+    angle = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    ring = np.column_stack([np.cos(angle), np.sin(angle)])
+    disk = rng.random((60, 2)) - 0.5
+    for span in (1e-300, 1e-160, 1.0, 1e150, 1e160):
+        yield f"ring-{span:g}", span * ring
+        yield f"disk-{span:g}", span * disk
+    # a point exactly at the centre, where the radius is 0
+    yield "centre", np.vstack([ring, [[0.0, 0.0]]])
+    yield "centre-only", np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])
+    # one chunk, exactly one, and one more point
+    for n in (15, 16, 17):
+        yield f"n{n}", disk[:n]
+    yield "coincident", np.full((40, 2), 0.3)
+    yield "coincident-far", np.full((20, 2), 1e200)
+    yield "offset-100", ring + 100.0
+    yield "subnormal", np.array([[0.0, 0.0], [5e-324, 0.0], [0.0, 1e-323], [2e-323, 5e-324]])
+
+
+@pytest.mark.parametrize("name, xy", list(_scaled_sets()), ids=[n for n, _ in _scaled_sets()])
+def test_diameter_at_extreme_scales_matches_brute_force(name, xy):
+    """Spans outside the range where the polar bound is used (1e-300,
+    1e-160, 1e150 and 1e160, where d2 overflows to inf) and the edge cases
+    of the angle order give the brute-force float."""
+    with np.errstate(over="ignore", under="ignore"):
+        want = float(_dense_d2(xy).max())
+        assert kernels.max_pairwise_distance_sq(xy) == want
 
 
 def test_grid_validation():
