@@ -31,8 +31,6 @@ from . import kernels
 from .geometry import ConvexPolygon, Point, _check_epsilon
 
 
-# consecutive boxes per chunk of the near-set pruning
-_NEAR_CHUNK = 16
 # relative slack on r**2 in the near-set pruning, which covers the rounding of
 # the squared gap bounds and of hypot (not guaranteed monotone); below the
 # normal range of r**2 the pruning decides nothing
@@ -250,7 +248,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     """The near sets as maximal runs (row, lo, hi), int64, sorted by row then
     lo: near_set_W(boxing, row, factor) is the union of its row's [lo, hi).
 
-    Built by `kernels.box_pair_runs` over chunks of _NEAR_CHUNK boxes with
+    Built by `kernels.box_pair_runs` over chunks of `kernels._CHUNK` boxes with
     r = factor·ε: a chunk pair is all far when its lower gap bounds give
     gx² + gy² > r²(1 + _SLACK) and all near when its upper ones give
     < r²(1 - _SLACK), and only the others are evaluated with the `near_set_W`
@@ -278,7 +276,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     def holds(ax, ay):
         return _box_gap(ax, ay, side) <= r
 
-    return kernels.box_pair_runs(boxing.centers[:, 0], boxing.centers[:, 1], _NEAR_CHUNK,
+    return kernels.box_pair_runs(boxing.centers[:, 0], boxing.centers[:, 1], kernels._CHUNK,
                                  decide, holds)
 
 

@@ -8,8 +8,9 @@ Subcommands:
 * ``spectral``     the bound chain for a point-set file
 * ``sweep``        ratio or spectral ε sweep written as CSV
 
-Exit code 0 only when the run's asserted invariants hold; bad input and
-unreadable or unwritable files exit 2 with a one-line ``error:`` message.
+Exit code 0 only when the run's asserted invariants hold; bad input,
+unreadable or unwritable files and a request for more memory than there is
+exit 2 with a one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,22 +1,19 @@
 """Hot numeric kernels.
 
-Pair counting runs on one exact pure-NumPy engine over a uniform cell list,
-and the box-pair relations (adjacency, and the near sets of `boundary`)
-share one exact builder, `box_pair_runs`, over chunks of consecutive boxes.
-Both prune whole groups of pairs with one bound, `_gap_bounds`, taken from
-the groups' exact bounding boxes (see the comment above it), and evaluate
-every other pair with the brute-force expression, so counts and runs equal
-brute force exactly.  One pass counts a whole ε grid.  Each box-pair row is
-emitted as maximal runs of consecutive boxes, which expand to the full k×k
-evaluation entry for entry; `box_adjacency_csr` is that expansion for the
-adjacency.
+Three exact pair engines cut ordered points into chunks of consecutive
+points.  `_gap_bounds` on the chunks' exact bounding boxes (see the comment
+above it) settles whole the chunk pairs it decides; the rest go through one
+NaN-padded gather (`_chunk_gaps`) and the brute-force expression, so every
+result equals brute force.  Pair counts take sort-tile-recursive order and
+a whole ε grid in one pass.  The box-pair relations (adjacency, and the
+near sets of `boundary`) share `box_pair_runs`, whose rows are maximal runs
+of consecutive boxes that expand to the k×k evaluation (`box_adjacency_csr`).
 
-The maximum pairwise distance runs over chunks of consecutive points in
-angle order about the bounding-box centre.  A chunk pair is evaluated only
-when both the box bound and the law-of-cosines bound `_polar_bounds` reach
-a lower bound L taken from near-antipodal pairs; the polar bound is tight to
-second order along a curved boundary, where the near-maximal pairs lie.
-Every evaluated pair uses the brute-force expression, so the maximum is the
+The maximum pairwise distance takes chunks in angle order about the
+bounding-box centre, and evaluates a chunk pair only when both the box bound
+and the law-of-cosines bound `_polar_bounds` reach a lower bound L taken from
+near-antipodal pairs; the polar bound is tight to second order along a
+curved boundary, where the near-maximal pairs lie.  The maximum is the
 brute-force float bit for bit.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
@@ -31,22 +28,25 @@ NumPy references: the package's own products run on the runs
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
 
 import numpy as np
 
 # elements per block for the chunked NumPy paths: each float64 temporary of a
 # block is 8 MB, which bounds their peak memory at a few tens of MB
 _BLOCK_ELEMS = 1_000_000
-# the cell list's tuning: cells hold at least this many points on average
-_MIN_FILL = 16
+# a share of _BLOCK_ELEMS per block of chunk pairs: evaluating a pair keeps a
+# handful of float64 temporaries
+_PAIR_SHARE = 16
+# points per chunk of the pair counts, the diameter and the near sets
+_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
 # exact bounds on the gaps between two groups of points
 # ---------------------------------------------------------------------------
-# The exact bounding boxes of two groups of points (cells of the point engine,
-# chunks of boxes) bound the computed |dx| and |dy| of every pair from both
+# The exact bounding boxes of two groups of points (chunks of points or of
+# boxes) bound the computed |dx| and |dy| of every pair from both
 # sides, with no slack: correctly rounded - is monotone, max is exact and
 # fl(|p - q|) = |fl(p - q)|, so fl(q - p) over p in [xmin_a, xmax_a] and q in
 # [xmin_b, xmax_b] lies in [fl(xmin_b - xmax_a), fl(xmax_b - xmin_a)]; + and *
@@ -126,72 +126,51 @@ def _polar_bounds(boxes, a, b):
 
 
 # ---------------------------------------------------------------------------
-# exact pair engine over a uniform cell list
+# chunk pairs: one NaN-padded gather for every engine
 # ---------------------------------------------------------------------------
-# Points are bucketed into square cells (Bentley, Stanat and Williams 1977,
-# fixed-radius near neighbours); how the assignment rounds decides only how
-# much is pruned.  Cell pairs whose gap bounds rule out every threshold are
-# skipped whole; every other pair is evaluated with the brute-force expression
-# dx*dx + dy*dy, so counts equal brute force exactly.
 
-class _Cells(NamedTuple):
-    xy: np.ndarray  # the points, sorted by cell
-    starts: np.ndarray  # (m + 1,) first sorted point of each of the m cells, then n
-    boxes: tuple  # the cells' bounding boxes, as `_bounding_boxes`
-
-
-def _cells(xy, side, min_fill=1):
-    """Bucket the points into cells of the given side, doubled until the
-    occupied cells hold min_fill points on average."""
-    n = xy.shape[0]
-    lo = xy.min(axis=0)
-    span = float((xy.max(axis=0) - lo).max())
-    side = max(side, span / 2.0**20, np.finfo(float).tiny)  # keeps keys in int64
-    while True:
-        ij = np.floor((xy - lo) / side).astype(np.int64)
-        key = ij[:, 0] * (int(ij[:, 1].max()) + 1) + ij[:, 1]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        if first.shape[0] * min_fill <= n or first.shape[0] == 1:
-            break
-        side *= 2.0
-    xy = np.ascontiguousarray(xy[order])
-    return _Cells(xy, np.append(first, n), _bounding_boxes(xy[:, 0], xy[:, 1], first))
+def _chunk_gaps(px, py, i0, j0, size):
+    """dx and dy, shaped (pairs, size, size), of every point pair of the chunk
+    pairs that start at points i0 and j0: [p, s, t] is point i0[p] + s less
+    point j0[p] + t.  px and py end in one NaN point, which stands in for
+    every point past the last."""
+    last = px.shape[0] - 1
+    span = np.arange(size)
+    i = np.minimum(i0[:, None, None] + span[:, None], last)
+    j = np.minimum(j0[:, None, None] + span, last)
+    return px[i] - px[j], py[i] - py[j]
 
 
-def _pair_blocks(cells, keep):
-    """Yield blocks of d2 over the pairs of each cell a with the cells b >= a
-    whose gap bounds pass keep(lo2, hi2); pairs i >= j within one cell read NaN.
+def _chunk_d2(px, py, i0, j0):
+    """dx*dx + dy*dy of `_chunk_gaps` for chunks of _CHUNK, in place."""
+    d2, dy = _chunk_gaps(px, py, i0, j0, _CHUNK)
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
 
-    A block holds one row slice of cell a against the points of all its
-    accepted cells, at most max(_BLOCK_ELEMS, n) values.
-    """
-    px = cells.xy[:, 0]
-    py = cells.xy[:, 1]
-    starts = cells.starts
-    for a in range(starts.shape[0] - 1):
-        lx, ux, ly, uy = _gap_bounds(cells.boxes, a, slice(a, None))
-        cand = a + np.flatnonzero(keep(lx * lx + ly * ly, ux * ux + uy * uy))
-        if cand.shape[0] == 0:
-            continue
-        cnt = starts[cand + 1] - starts[cand]
-        cols = np.repeat(starts[cand] - (np.cumsum(cnt) - cnt), cnt)
-        cols += np.arange(cols.shape[0])
-        cx = px[cols]
-        cy = py[cols]
-        r0, r1 = starts[a], starts[a + 1]
-        own = cnt[0] if cand[0] == a else 0
-        rows = max(1, _BLOCK_ELEMS // cols.shape[0])
-        for i0 in range(r0, r1, rows):
-            i1 = min(r1, i0 + rows)
-            dx = px[i0:i1, None] - cx[None, :]
-            dy = py[i0:i1, None] - cy[None, :]
-            d2 = dx * dx + dy * dy
-            if own:
-                tri = np.arange(own)[None, :] <= np.arange(i0 - r0, i1 - r0)[:, None]
-                d2[:, :own][tri] = np.nan
-            yield d2
+
+# ---------------------------------------------------------------------------
+# exact pair counts over chunks in sort-tile-recursive order
+# ---------------------------------------------------------------------------
+# The points are put in sort-tile-recursive order (Leutenegger, Lopez and
+# Edgington, ICDE 1997): sorted by x, cut into floor(sqrt(n / 16)) strips of
+# equally many whole chunks, each strip sorted by y.  Chunks of _CHUNK
+# consecutive points then have small bounding boxes, and `_gap_bounds` puts
+# the d2 of every pair of a chunk pair in [lo2, hi2].  A chunk pair a < b
+# meets a near threshold t whole unless lo2 <= t < hi2, and a far threshold t
+# whole unless lo2 < t <= hi2; when it meets every threshold whole, it adds
+# |A|·|B| to each one it counts for.  The other chunk pairs, and each chunk's
+# own pairs i < j, are evaluated with the brute-force expression, so counts
+# equal brute force exactly.  The order decides only how much is evaluated.
+
+def _tile_order(x, y):
+    """Sort-tile-recursive order of the points, in strips of whole chunks."""
+    n = x.shape[0]
+    strips = max(1, math.isqrt(n // _CHUNK))
+    by_x = np.argsort(x, kind="stable")
+    strip = np.arange(n) // _CHUNK * strips // -(-n // _CHUNK)
+    return by_x[np.lexsort((y[by_x], strip))]
 
 
 def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
@@ -203,18 +182,55 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
     far_sq = [(1.0 - e) * (1.0 - e) for e in epsilons]
     near = [0] * len(near_sq)
     far = [0] * len(far_sq)
-    if xy.shape[0] < 2 or not near_sq:
+    n = xy.shape[0]
+    if n < 2 or not near_sq:
         return list(zip(near, far))
     near_max = max(near_sq)
     far_min = min(far_sq)
-    cells = _cells(xy, 0.5 * max(epsilons), _MIN_FILL)
-    for d2 in _pair_blocks(cells, lambda lo2, hi2: (lo2 <= near_max) | (hi2 >= far_min)):
-        sub = d2[d2 <= near_max]
-        for e, t in enumerate(near_sq):
-            near[e] += int(np.count_nonzero(sub <= t))
-        sub = d2[d2 >= far_min]
-        for e, t in enumerate(far_sq):
-            far[e] += int(np.count_nonzero(sub >= t))
+    x, y = xy[_tile_order(*xy.T)].T
+    starts = np.arange(0, n, _CHUNK)
+    m = starts.shape[0]
+    size = np.diff(np.append(starts, n))
+    boxes = _bounding_boxes(x, y, starts)
+    px = np.append(x, np.nan)
+    py = np.append(y, np.nan)
+    rows_per = max(1, _BLOCK_ELEMS // _PAIR_SHARE // m)
+    pairs_per = max(1, _BLOCK_ELEMS // _PAIR_SHARE // (_CHUNK * _CHUNK))
+    lower = np.tril_indices(_CHUNK)
+    for a0 in range(0, m, rows_per):
+        # chunk pairs a <= b that some threshold can count a pair of; a
+        # chunk's own lo2 is 0, so its own pairs are always among them
+        lx, ux, ly, uy = _gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(a0, None))
+        lo2 = lx * lx + ly * ly
+        hi2 = ux * ux + uy * uy
+        upper = np.arange(lo2.shape[1]) >= np.arange(lo2.shape[0])[:, None]
+        a, b = np.nonzero(upper & ((lo2 <= near_max) | (hi2 >= far_min)))
+        lo2 = lo2[a, b]
+        hi2 = hi2[a, b]
+        a += a0
+        b += a0
+        whole = a != b
+        for tn, tf in zip(near_sq, far_sq):
+            whole &= ((lo2 > tn) | (hi2 <= tn)) & ((lo2 >= tf) | (hi2 < tf))
+        weight = size[a[whole]] * size[b[whole]]
+        lo2 = lo2[whole]
+        hi2 = hi2[whole]
+        for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
+            near[e] += int(weight[hi2 <= tn].sum())
+            far[e] += int(weight[lo2 >= tf].sum())
+        a = a[~whole]
+        b = b[~whole]
+        for p0 in range(0, a.shape[0], pairs_per):
+            pa = a[p0 : p0 + pairs_per]
+            pb = b[p0 : p0 + pairs_per]
+            d2 = _chunk_d2(px, py, starts[pa], starts[pb])
+            # a chunk's own pairs i >= j read NaN, which neither test counts
+            d2[np.flatnonzero(pa == pb)[:, None], lower[0], lower[1]] = np.nan
+            near_d2 = d2[d2 <= near_max]
+            far_d2 = d2[d2 >= far_min]
+            for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
+                near[e] += int(np.count_nonzero(near_d2 <= tn))
+                far[e] += int(np.count_nonzero(far_d2 >= tf))
     return list(zip(near, far))
 
 
@@ -236,8 +252,7 @@ def pair_threshold_counts(xy: np.ndarray, epsilon: float) -> tuple[int, int]:
 # so the extra pad moves the cosine by at least 9e-9 and widens the window by
 # at least 9e-9 radians, far above that rounding.
 
-# points per chunk, and the angular window's pad (see above)
-_ARC_CHUNK = 16
+# the angular window's pad (see above)
 _WINDOW_PAD = 1e-8
 
 
@@ -267,7 +282,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         dy = y - y[j]
         best = max(best, float((dx * dx + dy * dy).max()))
 
-    starts = np.arange(0, n, _ARC_CHUNK)
+    starts = np.arange(0, n, _CHUNK)
     m = starts.shape[0]
     boxes = _bounding_boxes(x, y, starts)
     polar = _polar_boxes(r, t, starts)
@@ -311,20 +326,12 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         kept.append((a, b))
         a0 = a1
     a, b = (np.concatenate(v) for v in zip(*kept))
-    # blocks are (16, 16, pairs), so that the inner loops run over pairs; the
-    # last chunk is padded with NaN points, which fmax skips
-    block = max(1, _BLOCK_ELEMS // (_ARC_CHUNK * _ARC_CHUNK))
+    # the NaN points that pad the last chunk are skipped by fmax
+    block = max(1, _BLOCK_ELEMS // (_CHUNK * _CHUNK))
     px = np.append(x, np.nan)
     py = np.append(y, np.nan)
-    span = np.arange(_ARC_CHUNK)
     for p0 in range(0, a.shape[0], block):
-        i = np.minimum(starts[a[p0 : p0 + block]] + span[:, None, None], n)
-        j = np.minimum(starts[b[p0 : p0 + block]] + span[:, None], n)
-        d2 = px[i] - px[j]
-        dy = py[i] - py[j]
-        d2 *= d2
-        dy *= dy
-        d2 += dy
+        d2 = _chunk_d2(px, py, starts[a[p0 : p0 + block]], starts[b[p0 : p0 + block]])
         best = max(best, float(np.fmax.reduce(d2, axis=None)))
     return best
 
@@ -346,10 +353,6 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 # order decides only how much is pruned: along a convex boundary in arc-length
 # order a few times nnz pairs of the k**2 are evaluated, and a row holds one
 # run of antipodes, or two where the arc wraps past box k - 1.
-
-# a share of _BLOCK_ELEMS per block of chunk pairs: evaluating a pair keeps a
-# handful of float64 temporaries
-_PAIR_SHARE = 16
 
 
 def _true_runs(mask):
@@ -399,10 +402,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
         for p0 in range(0, pa.shape[0], pairs_per):
             i0 = starts[a0 + pa[p0 : p0 + pairs_per]]
             j0 = starts[pb[p0 : p0 + pairs_per]]
-            i = np.minimum(i0[:, None, None] + span[:, None], k)
-            j = np.minimum(j0[:, None, None] + span, k)
-            dx = px[i] - px[j]
-            dy = py[i] - py[j]
+            dx, dy = _chunk_gaps(px, py, i0, j0, size)
             hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
             if not loops:
                 hit[np.flatnonzero(i0 == j0)[:, None], span, span] = False

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from antipodal import read_points
+from antipodal import boundary, harness, read_points
 from antipodal.cli import main
 from antipodal.harness import spectral_csv_rows, sweep_spectral
 
@@ -166,23 +166,66 @@ _CIRCLE = "".join(f"{0.5 * math.cos(t)!r} {0.5 * math.sin(t)!r}\n"
 
 
 @pytest.mark.parametrize("command", ["graph-stats", "spectral"])
+@pytest.mark.parametrize("message", ["Unable to allocate 46.8 GiB for an array", ""])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, message):
+    """A tiny ε on a 200-point circle asks `discretize_boundary` for tens of
+    GiB; the MemoryError is raised here without allocating, since a machine
+    with enough memory would grant the real request."""
+    def discretize(hull, epsilon):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(boundary, "discretize_boundary", discretize)
+    monkeypatch.setattr(harness, "discretize_boundary", discretize)
+    pts = tmp_path / "p.txt"
+    pts.write_text(_CIRCLE)
+    assert main([command, "--points", str(pts), "--epsilon", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message or 'MemoryError'}"]
+
+
+@pytest.mark.parametrize("command", ["graph-stats", "spectral"])
 def test_bad_epsilon_cases_use_a_good_file(tmp_path, command):
     pts = tmp_path / "p.txt"
     pts.write_text(_CIRCLE)
     assert main([command, "--points", str(pts), "--epsilon", "0.05"]) == 0
 
 
-@pytest.mark.parametrize("command", ["graph-stats", "spectral"])
-@pytest.mark.parametrize(
-    "text,eps",
-    [(text, "0.05") for text in _BAD_POINT_FILES.values()]
-    + [(_CIRCLE, eps) for eps in ("0", "0.5", "-0.1", "nan")],
-    ids=[*_BAD_POINT_FILES, "eps-0", "eps-0.5", "eps-negative", "eps-nan"],
-)
-def test_bad_input_is_one_error_line(tmp_path, capsys, command, text, eps):
-    pts = tmp_path / "p.txt"
-    pts.write_text(text)
-    assert main([command, "--points", str(pts), "--epsilon", eps]) == 2
+def _bad_inputs():
+    """(id, points file text or None, argv) with "{dir}" for a scratch directory."""
+    points = ["--points", "{dir}/p.txt"]
+    for command in ("graph-stats", "spectral"):
+        for name, text in _BAD_POINT_FILES.items():
+            yield f"{name}-{command}", text, [command, *points, "--epsilon", "0.05"]
+        for name, eps in (("0", "0"), ("0.5", "0.5"), ("negative", "-0.1"), ("nan", "nan")):
+            yield f"eps-{name}-{command}", _CIRCLE, [command, *points, "--epsilon", eps]
+    gen = ["gen", "--out", "{dir}/g.txt"]
+    yield "gen-n-1", None, [*gen, "--kind", "circle", "--n", "1"]
+    yield "gen-reuleaux-no-seed", None, [*gen, "--kind", "reuleaux", "--n", "100"]
+    yield "gen-arc-center-no-epsilon", None, [*gen, "--kind", "arc-center", "--n", "100"]
+    yield "gen-eps-0.7", None, [*gen, "--kind", "arc-center", "--n", "100", "--epsilon", "0.7"]
+    yield "gen-out-is-a-directory", None, ["gen", "--out", "{dir}", "--kind", "circle", "--n", "16"]
+    for name, d, eps in (("d-2", "2", "0.01"), ("d-nan", "nan", "0.01"),
+                         ("eps-1e-300", "1", "1e-300"), ("d-0.001", "0.001", "0.01")):
+        yield f"annuli-{name}", None, ["annuli", "--d", d, "--epsilon", eps]
+    yield "annuli-thickened-d-below-12eps", None, ["annuli", "--d", "0.1", "--epsilon", "0.01",
+                                                   "--thickened"]
+    sweep = ["sweep", "--kind", "ratio", "--n", "200", "--out", "{dir}/s.csv"]
+    grid = {"--eps-start": "0.05", "--eps-factor": "0.5", "--eps-count": "3"}
+    for flag, value in (("--eps-start", "0.2"), ("--eps-start", "nan"),
+                        ("--eps-factor", "1.5"), ("--eps-count", "0")):
+        args = [a for k, v in {**grid, flag: value}.items() for a in (k, v)]
+        yield f"sweep{flag[5:]}-{value}", None, [*sweep, *args]
+    yield "sweep-random-disk-no-seed", None, [*sweep, *(a for kv in grid.items() for a in kv),
+                                              "--gen", "random-disk"]
+
+
+@pytest.mark.parametrize("text,argv", [case[1:] for case in _bad_inputs()],
+                         ids=[case[0] for case in _bad_inputs()])
+def test_bad_input_is_one_error_line(tmp_path, capsys, text, argv):
+    if text is not None:
+        (tmp_path / "p.txt").write_text(text)
+    assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()

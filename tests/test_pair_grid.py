@@ -1,7 +1,7 @@
-"""The cell-list pair engine is exact: every count equals brute force, ties
-at both inclusive thresholds included, the maximum pairwise distance is the
-identical float, and neither depends on the ε grid it is counted with or on
-the block size."""
+"""The chunk pair engines are exact: every count equals brute force, ties at
+both inclusive thresholds included, also where a whole chunk pair is counted
+at once, the maximum pairwise distance is the identical float, and neither
+depends on the ε grid it is counted with or on the block size."""
 
 import math
 
@@ -37,6 +37,13 @@ def _dense_d2(xy):
     return dx * dx + dy * dy
 
 
+def _dense_counts(xy, epsilons):
+    """(near, far) of every epsilon by counting `_dense_d2`."""
+    d2 = _dense_d2(xy)
+    return [(int(np.count_nonzero(d2 <= e * e)), int(np.count_nonzero(d2 >= (1.0 - e) * (1.0 - e))))
+            for e in epsilons]
+
+
 # coordinates on the lattice k/64 in [0, 1.25]; the coarse multiples of 4/64
 # make exact distances 1/16 and 15/16 common, the ties at ε = 1/16
 _coord = st.one_of(st.integers(0, 20).map(lambda k: 4 * k), st.integers(0, 80))
@@ -54,6 +61,18 @@ def test_lattice_counts_and_diameter_match_brute_force(points, epsilons):
     ps = PointSet.from_points(points)
     assert pair_counts_grid(ps, epsilons) == _brute_grid(points, epsilons)
     assert diameter(ps) == diameter_brute(points)
+
+
+def test_whole_chunk_pairs_count_their_ties():
+    """Chunk pairs whose bounds equal a threshold exactly: 1 500 points on
+    the 17 x 4 lattice sites 1/16 apart in [0, 1] x [0, 3/16], about 22 on
+    each, make chunks of one or two sites, with chunk pairs at exactly 1/16
+    and 15/16 that are counted whole."""
+    rng = np.random.default_rng(7)
+    sites = np.column_stack([rng.integers(0, 17, 1_500), rng.integers(0, 4, 1_500)]) / 16.0
+    xy = np.vstack([sites, [(15 / 16, 0.0), (1.0, 0.0), (9 / 16, 12 / 16)]])
+    epsilons = (1 / 8, 1 / 16, 1 / 32)
+    assert kernels.pair_grid_counts(xy, epsilons) == _dense_counts(xy, epsilons)
 
 
 def test_exact_ties_at_both_thresholds_count():
@@ -101,13 +120,9 @@ def test_small_and_degenerate_sets_match_brute_force(points):
 def test_grid_equals_one_call_per_epsilon(ps):
     grid = pair_counts_grid(ps, DEFAULT_RATIO_GRID)
     assert grid == [pair_counts(ps, e) for e in DEFAULT_RATIO_GRID]
-    d2 = _dense_d2(ps.coords)
-    assert [(c.neighbors, c.antipodes) for c in grid] == [
-        (int(np.count_nonzero(d2 <= e * e)),
-         int(np.count_nonzero(d2 >= (1.0 - e) * (1.0 - e))))
-        for e in DEFAULT_RATIO_GRID
-    ]
-    assert kernels.max_pairwise_distance_sq(ps.coords) == float(d2.max())
+    assert [(c.neighbors, c.antipodes) for c in grid] == _dense_counts(ps.coords,
+                                                                       DEFAULT_RATIO_GRID)
+    assert kernels.max_pairwise_distance_sq(ps.coords) == float(_dense_d2(ps.coords).max())
 
 
 def _block_outputs():
@@ -141,10 +156,10 @@ def _assert_gap_bounds_hold(x, y, starts):
 
 
 def test_gap_bounds_hold_every_pair_at_cell_edges():
-    """Points on a lattice of cell edges, nudged by a few ulps so that the
-    rounded cell assignment can be off by one: the bounding-box bounds hold
-    every computed pair of the point engine's cells and of chunks of
-    consecutive points, as `box_pair_runs` cuts them."""
+    """Points on a lattice of cell edges, nudged by a few ulps: the
+    bounding-box bounds hold every computed pair of the chunks of the pair
+    counts (sort-tile-recursive order) and of chunks of consecutive points in
+    the given order, as `box_pair_runs` cuts them."""
     rng = np.random.default_rng(0)
     for _ in range(200):
         side = float(rng.choice([0.1, 0.16, 0.03, 1 / 3, 0.07, 0.2]))
@@ -152,8 +167,8 @@ def test_gap_bounds_hold_every_pair_at_cell_edges():
         xy = x0 + rng.integers(0, 12, (60, 2)) * side
         for step in rng.integers(-1, 2, (3,) + xy.shape):
             xy = np.where(step == 0, xy, np.nextafter(xy, np.copysign(np.inf, step)))
-        cells = kernels._cells(xy, side)
-        _assert_gap_bounds_hold(cells.xy[:, 0], cells.xy[:, 1], cells.starts[:-1])
+        order = kernels._tile_order(xy[:, 0], xy[:, 1])
+        _assert_gap_bounds_hold(xy[order, 0], xy[order, 1], np.arange(0, xy.shape[0], kernels._CHUNK))
         size = int(rng.integers(1, 9))
         _assert_gap_bounds_hold(xy[:, 0], xy[:, 1], np.arange(0, xy.shape[0], size))
 
