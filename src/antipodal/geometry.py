@@ -1,5 +1,5 @@
 """Planar primitives: pair counts at both distance thresholds (a whole ε
-grid per cell-list pass), diameter, convex hull, boundary bands, and the
+grid in one pass), diameter, convex hull, boundary bands, and the
 neighbor/antipode ratio margin.
 
 Conventions used throughout the package:
@@ -112,7 +112,7 @@ def _check_epsilon(epsilon: float) -> float:
 
 def pair_counts_grid(ps: PointSet, epsilons) -> list[PairCounts]:
     """Exact counts of neighbor and antipode pairs at every ε of a grid, from
-    one cell-list pass over the points.
+    one pass of the chunk engine (`kernels.pair_grid_counts`) over the points.
 
     neighbors = #{i<j : ||x_i - x_j|| <= epsilon},
     antipodes = #{i<j : ||x_i - x_j|| >= 1 - epsilon}.

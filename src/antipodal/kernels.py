@@ -1,13 +1,14 @@
 """Hot numeric kernels.
 
 Three exact pair engines cut ordered points into chunks of consecutive
-points.  `_gap_bounds` on the chunks' exact bounding boxes (see the comment
-above it) settles whole the chunk pairs it decides; the rest go through one
-NaN-padded gather (`_chunk_gaps`) and the brute-force expression, so every
-result equals brute force.  Pair counts take sort-tile-recursive order and
-a whole ε grid in one pass.  The box-pair relations (adjacency, and the
-near sets of `boundary`) share `box_pair_runs`, whose rows are maximal runs
-of consecutive boxes that expand to the k×k evaluation (`box_adjacency_csr`).
+points (`_chunks`).  `_gap_bounds` on the chunks' exact bounding boxes (see
+the comment above it) settles whole the chunk pairs it decides; the rest go
+through one NaN-padded gather (`_chunk_gaps`) and the brute-force
+expression, so every result equals brute force.  Pair counts take
+sort-tile-recursive order and a whole ε grid in one pass.  The box-pair
+relations (adjacency, and the near sets of `boundary`) share
+`box_pair_runs`, whose rows are maximal runs of consecutive boxes that
+expand to the k×k evaluation (`box_adjacency_csr`).
 
 The maximum pairwise distance takes chunks in angle order about the
 bounding-box centre, and evaluates a chunk pair only when both the box bound
@@ -40,6 +41,8 @@ _BLOCK_ELEMS = 1_000_000
 _PAIR_SHARE = 16
 # points per chunk of the pair counts, the diameter and the near sets
 _CHUNK = 16
+# boxes per chunk of the box graph
+_GRAPH_CHUNK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +129,15 @@ def _polar_bounds(boxes, a, b):
 
 
 # ---------------------------------------------------------------------------
-# chunk pairs: one NaN-padded gather for every engine
+# chunk pairs: one chunk cut and one NaN-padded gather for every engine
 # ---------------------------------------------------------------------------
+
+def _chunks(x, y, size):
+    """The starts of the chunks of `size` consecutive points, their exact
+    bounding boxes, and x and y with the NaN point of `_chunk_gaps` appended."""
+    starts = np.arange(0, x.shape[0], size)
+    return starts, _bounding_boxes(x, y, starts), np.append(x, np.nan), np.append(y, np.nan)
+
 
 def _chunk_gaps(px, py, i0, j0, size):
     """dx and dy, shaped (pairs, size, size), of every point pair of the chunk
@@ -187,13 +197,9 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
         return list(zip(near, far))
     near_max = max(near_sq)
     far_min = min(far_sq)
-    x, y = xy[_tile_order(*xy.T)].T
-    starts = np.arange(0, n, _CHUNK)
+    starts, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
     m = starts.shape[0]
     size = np.diff(np.append(starts, n))
-    boxes = _bounding_boxes(x, y, starts)
-    px = np.append(x, np.nan)
-    py = np.append(y, np.nan)
     rows_per = max(1, _BLOCK_ELEMS // _PAIR_SHARE // m)
     pairs_per = max(1, _BLOCK_ELEMS // _PAIR_SHARE // (_CHUNK * _CHUNK))
     lower = np.tril_indices(_CHUNK)
@@ -282,9 +288,8 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         dy = y - y[j]
         best = max(best, float((dx * dx + dy * dy).max()))
 
-    starts = np.arange(0, n, _CHUNK)
+    starts, boxes, px, py = _chunks(x, y, _CHUNK)
     m = starts.shape[0]
-    boxes = _bounding_boxes(x, y, starts)
     polar = _polar_boxes(r, t, starts)
     rad, tmin, tmax = polar
     use_polar = float((hi - lo).max()) <= _POLAR_MAX_SPAN and best >= _POLAR_MIN_L
@@ -312,8 +317,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + budget, side="right")) - 1)
         cnt = count[a0:a1]
         a = np.repeat(np.arange(a0, a1), cnt)
-        b = np.repeat(first[a0:a1] - ends[a0:a1] + ends[a0], cnt) + np.arange(a.shape[0])
-        b %= m
+        b = expand_runs(first[a0:a1], first[a0:a1] + cnt) % m
         # each kept pair is in the window of both its chunks
         keep = a <= b
         a, b = a[keep], b[keep]
@@ -328,8 +332,6 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
     a, b = (np.concatenate(v) for v in zip(*kept))
     # the NaN points that pad the last chunk are skipped by fmax
     block = max(1, _BLOCK_ELEMS // (_CHUNK * _CHUNK))
-    px = np.append(x, np.nan)
-    py = np.append(y, np.nan)
     for p0 in range(0, a.shape[0], block):
         d2 = _chunk_d2(px, py, starts[a[p0 : p0 + block]], starts[b[p0 : p0 + block]])
         best = max(best, float(np.fmax.reduce(d2, axis=None)))
@@ -374,12 +376,8 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     that pads the last chunk.  Both may overwrite their arguments.  With
     loops=False, i ~ i is dropped.
     """
-    k = cx.shape[0]
-    starts = np.arange(0, k, size)
-    stops = np.append(starts[1:], k)
-    boxes = _bounding_boxes(cx, cy, starts)
-    px = np.append(cx, np.nan)
-    py = np.append(cy, np.nan)
+    starts, boxes, px, py = _chunks(cx, cy, size)
+    stops = np.append(starts[1:], cx.shape[0])
     span = np.arange(size)
     budget = _BLOCK_ELEMS // _PAIR_SHARE
     rows_per = max(1, budget // max(starts.shape[0], 1))
@@ -434,8 +432,7 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     def holds(ax, ay):
         return reach2(ax, ay) >= thr2
 
-    size = min(32, max(1, _BLOCK_ELEMS // max(cx.shape[0], 1)))
-    return box_pair_runs(cx, cy, size, decide, holds, loops=False)
+    return box_pair_runs(cx, cy, _GRAPH_CHUNK, decide, holds, loops=False)
 
 
 def join_runs(row, lo, hi):

@@ -38,9 +38,9 @@ def _assert_matches_brute(cx, cy, side, eps):
     return indptr, indices
 
 
-def _with_chunk(monkeypatch, chunk, k):
-    """Set the block budget so that chunks hold `chunk` boxes."""
-    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", chunk * max(k, 1))
+def _with_chunk(monkeypatch, chunk):
+    """Cut the box graph into chunks of `chunk` boxes."""
+    monkeypatch.setattr(kernels, "_GRAPH_CHUNK", chunk)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_shuffled_boxes_match_brute(boxings, hull, eps):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 32])
 def test_every_chunk_size_matches_brute(monkeypatch, boxings, chunk):
     boxing = boxings("reuleaux", 1 / 64)
-    _with_chunk(monkeypatch, chunk, boxing.k)
+    _with_chunk(monkeypatch, chunk)
     cx = boxing.centers[:, 0].copy()
     cy = boxing.centers[:, 1].copy()
     _assert_matches_brute(cx, cy, boxing.side, boxing.epsilon)
@@ -106,7 +106,7 @@ def test_lattice_ties_match_brute(base, ties, chunk, rnd):
     rnd.shuffle(pts)
     xy = np.array(pts, dtype=np.float64) / 64
     with pytest.MonkeyPatch.context() as mp:
-        _with_chunk(mp, chunk, xy.shape[0])
+        _with_chunk(mp, chunk)
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16)
 
 
@@ -114,7 +114,7 @@ def test_lattice_ties_match_brute(base, ties, chunk, rnd):
 def test_lattice_tie_is_an_edge(monkeypatch, chunk):
     # one-box chunks make the chunk bound equal the tie itself
     xy = np.array([[0, 0], [35, 47], [47, 35], [35, 46]], dtype=np.float64) / 64
-    _with_chunk(monkeypatch, chunk, xy.shape[0])
+    _with_chunk(monkeypatch, chunk)
     indptr, indices = kernels.box_adjacency_csr(xy[:, 0].copy(), xy[:, 1].copy(),
                                                 1 / 64, 1 / 16)
     assert indptr.tolist() == [0, 2, 3, 4, 4]
@@ -129,7 +129,7 @@ def test_any_side_matches_brute(pts, side, eps, chunk):
     # sides near 1 make every pair an edge, and i ~ i would be one too
     xy = np.array(pts, dtype=np.float64)
     with pytest.MonkeyPatch.context() as mp:
-        _with_chunk(mp, chunk, xy.shape[0])
+        _with_chunk(mp, chunk)
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), side, eps)
 
 
@@ -146,6 +146,25 @@ def test_large_side_has_no_self_loops():
                                             0.9, 0.1)
     assert indptr.tolist() == [0, 2, 4, 6]
     assert indices.tolist() == [1, 2, 0, 2, 0, 1]
+
+
+def test_graph_chunk_does_not_follow_the_block_budget(monkeypatch):
+    """The box graph is cut into chunks of `_GRAPH_CHUNK` boxes at any block
+    budget; a chunk size taken from the budget gave these 403 boxes 2."""
+    boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
+    assert boxing.k == 403
+    sizes = []
+    box_pair_runs = kernels.box_pair_runs
+
+    def spy(cx, cy, size, *args, **kwargs):
+        sizes.append(size)
+        return box_pair_runs(cx, cy, size, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "box_pair_runs", spy)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 1000)
+    _assert_matches_brute(boxing.centers[:, 0].copy(), boxing.centers[:, 1].copy(),
+                          boxing.side, boxing.epsilon)
+    assert sizes == [kernels._GRAPH_CHUNK] == [32]
 
 
 @pytest.mark.parametrize("k", [3, 31])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -483,3 +484,64 @@ def test_point_io_errors_name_their_line(tmp_path):
     fast, slow = _read_both_ways(path)
     assert fast == slow == (
         ValueError, f"{path}:2: could not convert string to float: 'abc'")
+
+
+def _float_reference(text):
+    """The file read line by line with `float`: its points, the number of
+    the first line that is neither blank, a comment nor two reals, or
+    "nonfinite" when every line reads but a coordinate is not finite."""
+    rows = []
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
+        line = line.strip(" \t")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            rows.append([float(part) for part in parts])
+        except ValueError:
+            return lineno
+    xy = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    return xy if np.isfinite(xy).all() else "nonfinite"
+
+
+_JUNK = st.sampled_from(["1_0", "0x10", "nan", "-inf", "1e400", "#", "1#", "abc", "-0.0", "+.5"])
+
+
+@st.composite
+def _fuzz_lines(draw):
+    blanks = st.text(" \t", max_size=2)
+    kind = draw(st.sampled_from(["points", "points", "points", "blank", "comment"]))
+    if kind == "blank":
+        return draw(blanks)
+    if kind == "comment":
+        return draw(blanks) + "#" + draw(st.sampled_from(["", " c", "1 2", "#"]))
+    tokens = [draw(_JUNK) if draw(st.integers(0, 7)) == 0 else repr(draw(st.floats()))
+              for _ in range(draw(st.sampled_from([2, 2, 2, 1, 3])))]
+    seps = [draw(st.text(" \t", min_size=1, max_size=2)) for _ in tokens[1:]]
+    return (draw(blanks) + "".join(t + s for t, s in zip(tokens, seps)) + tokens[-1]
+            + draw(blanks))
+
+
+@given(st.lists(_fuzz_lines(), max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_point_io_reads_like_float_line_by_line(tmp_path_factory, lines, end, final_newline):
+    """read_points equals a per-line `float` reading, or both reject the file
+    at the same line (or for a coordinate that is not finite)."""
+    text = end.join(lines) + (end if final_newline else "")
+    path = tmp_path_factory.mktemp("pts") / "pts.txt"
+    path.write_bytes(text.encode("ascii"))
+    want = _float_reference(text)
+    try:
+        got = read_points(path).coords
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(want, int):
+        assert isinstance(got, str) and got.startswith(f"{path}:{want}: ")
+    elif isinstance(want, str):
+        assert got == "point coordinates must be finite"
+    else:
+        assert not isinstance(got, str), got
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape

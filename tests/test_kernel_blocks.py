@@ -1,6 +1,7 @@
 """The row-block size of the NumPy kernels caps their temporaries only: any
-block size gives the same integers and floats.  The block sizes below put 1,
-2 and 32 boxes in each box-adjacency chunk."""
+block size gives the same integers and floats.  The block sizes below change
+how many chunks and chunk pairs a block holds, from one up; the chunk sizes
+themselves are fixed."""
 
 import numpy as np
 import pytest

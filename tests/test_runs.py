@@ -118,7 +118,7 @@ def test_lattice_tie_runs_match_brute(base, ties, chunk, rnd):
     rnd.shuffle(pts)
     xy = np.array(pts, dtype=np.float64) / 64
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_BLOCK_ELEMS", chunk * xy.shape[0])
+        mp.setattr(kernels, "_GRAPH_CHUNK", chunk)
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16)
 
 
