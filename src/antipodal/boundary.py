@@ -13,9 +13,10 @@ the arc wraps past the last box).  Products with a vector cost O(k + runs)
 through prefix sums.  Common-neighbor counts are entries of A·A: a single
 row is A @ 1_{N(i)}.  The tail constant never forms an entry of A·A: the
 near sets W are runs too, built once by the same chunk-pair builder, and one
-sorted sweep over the events of the neighbors' runs and of the near runs
-yields each row of A·A outside W as piecewise-constant segments, a block of
-rows at a time.
+running sum over the sorted events of the neighbors' runs (±1) and of the
+near runs (∓(k + 1)) yields each row of A·A outside W as piecewise-constant
+segments, a block of rows at a time.  A graph run's neighbors hold one range
+of run indices, so the sweep never lists them one by one.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .geometry import ConvexPolygon, Point, _check_epsilon
 # the squared gap bounds and of hypot (not guaranteed monotone); below the
 # normal range of r**2 the pruning decides nothing
 _SLACK = 1e-9
-# the tail keeps about a dozen temporaries per element of a block, so its
-# blocks hold kernels._BLOCK_ELEMS // _TAIL_SHARE elements
+# the tail keeps about six int64 words per event of a block (three work arrays
+# and three of temporaries), so its blocks hold kernels._BLOCK_ELEMS //
+# _TAIL_SHARE events
 _TAIL_SHARE = 16
 
 
@@ -319,50 +321,46 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
     return int(G.neighborhood_degree_sums[i])
 
 
-# event kinds in the low two bits of a sweep key, and their steps to the
-# common-neighbor count and to the near depth
-_COUNT_STEP = np.array([-1, 1, 0, 0])
-_DEPTH_STEP = np.array([0, 0, -1, 1])
-
-
 def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
     """Rows i0 .. i1 - 1 of A·A outside the near sets, as segments
     (row - i0, count, length) of consecutive j with one count > 0.
 
-    Every run of every m in N(i) adds +1 at its lo and -1 at its hi to the
-    count of row i, and every near run of i does the same to a near depth;
-    sorted, the running sums of these events are both piecewise constant, and
-    a segment is far where its depth is 0.  The sweep writes into `work`,
-    five int64 arrays and one bool array of at least the block's event
-    count, so that no block allocates (and faults in) its own.
+    Every run of every m in N(i) steps row i's running sum by +1 at its lo
+    and -1 at its hi, and every near run of i by -(k + 1) at its lo and
+    +(k + 1) at its hi.  A count is at most k and a row's near runs are
+    disjoint, so the sorted sum is positive exactly where j is outside W
+    with a count > 0, and there it is the count.  The runs are sorted by
+    row, so the runs of the neighbors lo .. hi - 1 of a graph run are the
+    run indices run_ptr[lo] .. run_ptr[hi] - 1, one range per graph run.
+    The sweep writes into `work`, three int64 arrays and one bool array of
+    at least the block's event count, so that no block allocates (and
+    faults in) its own.
     """
     k = G.k
     ptr = G.run_ptr
     r0, r1 = ptr[i0], ptr[i1]
-    mid = kernels.expand_runs(G.lo[r0:r1], G.hi[r0:r1])
-    owner = np.repeat(G.row[r0:r1] - i0, G.hi[r0:r1] - G.lo[r0:r1])
-    runs = kernels.expand_runs(ptr[mid], ptr[mid + 1])
-    base = np.repeat(owner * (k + 1), ptr[mid + 1] - ptr[mid])
+    first, last = ptr[G.lo[r0:r1]], ptr[G.hi[r0:r1]]
+    runs = kernels.expand_runs(first, last)
+    base = np.repeat((G.row[r0:r1] - i0) * (k + 1), last - first)
     nrow, nlo, nhi, nptr = near
     n = slice(nptr[i0], nptr[i1])
     nbase = (nrow[n] - i0) * (k + 1)
     # key = 4 * (row * (k + 1) + position) + kind: 0 / 1 close / open a
-    # neighbor's run, 2 / 3 close / open a near run
+    # neighbor's run, 2 / 3 close / open a near run, and steps[kind] is its step
+    steps = np.array([-1, 1, k + 1, -(k + 1)])
     parts = [(base + G.hi[runs]) * 4, (base + G.lo[runs]) * 4 + 1,
              (nbase + nhi[n]) * 4 + 2, (nbase + nlo[n]) * 4 + 3]
     e = sum(part.shape[0] for part in parts)
-    events, kind, count, depth, length, far = (w[:e] for w in work)
+    events, count, length, far = (w[:e] for w in work)
     np.concatenate(parts, out=events)
     events.sort()
-    np.bitwise_and(events, 3, out=kind)
-    np.cumsum(np.take(_COUNT_STEP, kind, out=count), out=count)
-    np.cumsum(np.take(_DEPTH_STEP, kind, out=depth), out=depth)
+    kind = np.bitwise_and(events, 3, out=length)
+    np.cumsum(np.take(steps, kind, out=count), out=count)
     key = np.right_shift(events, 2, out=events)
     np.subtract(key[1:], key[:-1], out=length[:-1])
-    # a row's events end with both sums back at 0, so a far segment never
+    # a row's events end with the sum back at 0, so a far segment never
     # crosses into the next row
     far = np.greater(count[:-1], 0, out=far[:-1])
-    far &= depth[:-1] == 0
     far &= length[:-1] > 0
     return key[:-1][far] // (k + 1), count[:-1][far], length[:-1][far]
 
@@ -373,8 +371,8 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
 
     T_s counts the j outside near_set_W(boxing, i, factor) with
     |N(i) & N(j)| >= s.  The near sets come once, as runs (`near_runs`), and
-    the counts as rows of A·A, built a block of rows at a time by one sweep
-    over the events of the neighbors' runs and of the near runs, without
+    the counts as rows of A·A, built a block of rows at a time by one running
+    sum over the events of the neighbors' runs and of the near runs, without
     forming A·A or expanding a single entry (`_far_segments`).  T_s is
     piecewise constant in s: sorted by count, largest first, each row's far
     segments give T at each count as the cumulative length, so by the
@@ -396,7 +394,7 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     np.cumsum(2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), out=bound[1:])
     budget = kernels._BLOCK_ELEMS // _TAIL_SHARE
     size = max(budget, int(np.diff(bound).max()))
-    work = [np.empty(size, np.int64) for _ in range(5)] + [np.empty(size, bool)]
+    work = [np.empty(size, np.int64) for _ in range(3)] + [np.empty(size, bool)]
     best = 0
     i0 = 0
     while i0 < k:

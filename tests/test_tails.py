@@ -1,7 +1,8 @@
 """The tail constant max_{i,s} s * T_s / k, computed by one event sweep over
 the runs of A·A and of the near sets, against a vertex-by-vertex oracle,
-across block sizes, and against `tail_counts`; and the near sets as runs
-against `near_set_W`."""
+across block sizes, and against `tail_counts`; each row's far segments
+against the dense row of A·A; and the near sets as runs against
+`near_set_W`."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from antipodal import (
     AntipodalGraph,
+    boundary,
     build_graph,
     circle_config,
     convex_hull,
@@ -191,6 +193,63 @@ def test_near_runs_at_ulp_ties(boxing, factor):
 def test_random_graphs_at_ulp_ties_match_oracle(boxing, p, seed, factor):
     g = random_graph(boxing.k, p, seed)
     assert max_scaled_tail(boxing, g, factor) == _brute(boxing, g, factor)
+
+
+def _far_segment_rows(boxing, g, factor, block_elems):
+    """Each row's far segments as (count, length) arrays, recorded from the
+    blocks that `max_scaled_tail` cuts at the given `_BLOCK_ELEMS`, after
+    checking that the blocks tile the rows in order."""
+    calls = []
+    sweep = boundary._far_segments
+
+    def spy(G, near, i0, i1, work):
+        out = sweep(G, near, i0, i1, work)
+        calls.append((i0, i1) + out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        mp.setattr(boundary, "_far_segments", spy)
+        max_scaled_tail(boxing, g, factor)
+    assert [c[0] for c in calls] == [0] + [c[1] for c in calls[:-1]]
+    assert calls[-1][1] == g.k
+    rows = [[] for _ in range(g.k)]
+    for i0, i1, row, count, length in calls:
+        assert ((row >= 0) & (row < i1 - i0)).all()
+        assert (count > 0).all() and (length > 0).all()
+        for i in range(i0, i1):
+            rows[i].append((count[row == i - i0], length[row == i - i0]))
+    return [tuple(np.concatenate(part) for part in zip(*r)) for r in rows]
+
+
+# the random, star and edgeless graphs on the small circle, and random graphs
+# on the lattice boxes with ulp ties
+tail_inputs = st.one_of(
+    st.tuples(st.just(SMALL_BOXING), small_graphs),
+    grid_boxings().flatmap(lambda boxing: st.tuples(
+        st.just(boxing),
+        st.builds(random_graph, st.just(boxing.k), st.sampled_from([0.1, 0.3, 0.7]),
+                  st.integers(0, 10_000)))),
+)
+
+
+@given(tail_inputs, st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0, 100.0]),
+       st.sampled_from([1, 997, kernels._BLOCK_ELEMS]))
+@settings(max_examples=100, deadline=None)
+def test_far_segments_match_dense_rows(inputs, factor, block_elems):
+    """Each row's far segments give, count by count, the number of j outside
+    W whose entry of A·A is that count, which the maximum alone can hide."""
+    boxing, g = inputs
+    k = g.k
+    a = g.adjacency.astype(np.int64)
+    counts = a @ a
+    for i, (count, length) in enumerate(_far_segment_rows(boxing, g, factor, block_elems)):
+        far = np.ones(k, bool)
+        far[near_set_W(boxing, i, factor)] = False
+        vals = counts[i][far]
+        expected = np.bincount(vals[vals > 0], minlength=k + 1)
+        got = np.bincount(count, weights=length, minlength=k + 1)
+        assert np.array_equal(got, expected), i
 
 
 def test_near_runs_below_the_normal_range():
