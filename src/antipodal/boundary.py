@@ -137,9 +137,9 @@ class AntipodalGraph:
     ``lo[r] <= j < hi[r]``.  The three int64 arrays are sorted by row, then by
     lo; a row may hold several runs (an arc that wraps past box k - 1 holds
     two), so any graph has this form.  Degrees and the edge count come from
-    the run lengths.  `matvec` costs O(k + runs); the CSR views `indptr`,
-    `indices` and `row_index` are expanded on first use and cached, and
-    `adjacency` builds a dense uint8 matrix on each access.
+    the run lengths.  `matvec` costs O(k + runs), `neighbors(i)` O(d_i); the
+    CSR views `indptr`, `indices` and `row_index` are expanded on first use
+    and cached, and `adjacency` builds a dense uint8 matrix on each access.
     """
 
     k: int
@@ -186,7 +186,8 @@ class AntipodalGraph:
         return dense
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+        r = slice(self.run_ptr[i], self.run_ptr[i + 1])
+        return kernels.expand_runs(self.lo[r], self.hi[r])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x: a prefix-sum difference per run, summed per row.
@@ -208,9 +209,8 @@ class AntipodalGraph:
         """The graph whose row i lists neighbors indices[indptr[i]:indptr[i + 1]]."""
         indptr = np.asarray(indptr, dtype=np.int64)
         rows = np.repeat(np.arange(k, dtype=np.int64), np.diff(indptr))
-        order = np.lexsort((indices, rows))
-        cols = np.asarray(indices, dtype=np.int64)[order]
-        return cls(k, *kernels.join_runs(rows[order], cols, cols + 1))
+        cols = np.asarray(indices, dtype=np.int64)
+        return cls(k, *kernels.join_runs(rows, cols, cols + 1))
 
     @classmethod
     def from_dense(cls, matrix) -> "AntipodalGraph":
@@ -334,7 +334,8 @@ def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
     run indices run_ptr[lo] .. run_ptr[hi] - 1, one range per graph run.
     The sweep writes into `work`, three int64 arrays and one bool array of
     at least the block's event count, so that no block allocates (and
-    faults in) its own.
+    faults in) its own: without them, `graph-stats` on the 10 000-point
+    circle at ε = 1/16384 took 27-30 s instead of 18-22 s (2 vCPUs).
     """
     k = G.k
     ptr = G.run_ptr

@@ -8,7 +8,7 @@ expression, so every result equals brute force.  Pair counts take
 sort-tile-recursive order and a whole ε grid in one pass.  The box-pair
 relations (adjacency, and the near sets of `boundary`) share
 `box_pair_runs`, whose rows are maximal runs of consecutive boxes that
-expand to the k×k evaluation (`box_adjacency_csr`).
+expand to the k×k evaluation (`box_adjacency_csr`), joined per row block.
 
 The maximum pairwise distance takes chunks in angle order about the
 bounding-box centre, and evaluates a chunk pair only when both the box bound
@@ -267,7 +267,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 
     L, the largest d2 of each point with the two points on either side of its
     antipodal angle, is a lower bound; a chunk pair is evaluated only when its
-    box bound and its polar bound both reach L.
+    box bound and its polar bound both reach the best d2 so far, L or above.
     """
     n = xy.shape[0]
     if n < 2:
@@ -311,7 +311,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
     ends = np.zeros(m + 1, np.int64)
     np.cumsum(count, out=ends[1:])
     budget = max(1, _BLOCK_ELEMS // 64)
-    kept = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    block = max(1, _BLOCK_ELEMS // (_CHUNK * _CHUNK))
     a0 = 0
     while a0 < m:
         a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + budget, side="right")) - 1)
@@ -327,14 +327,11 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         if use_polar:
             keep = _polar_bounds(polar, a, b) >= best
             a, b = a[keep], b[keep]
-        kept.append((a, b))
+        # the best so far prunes later blocks; fmax skips the last chunk's NaNs
+        for p0 in range(0, a.shape[0], block):
+            d2 = _chunk_d2(px, py, starts[a[p0 : p0 + block]], starts[b[p0 : p0 + block]])
+            best = max(best, float(np.fmax.reduce(d2, axis=None)))
         a0 = a1
-    a, b = (np.concatenate(v) for v in zip(*kept))
-    # the NaN points that pad the last chunk are skipped by fmax
-    block = max(1, _BLOCK_ELEMS // (_CHUNK * _CHUNK))
-    for p0 in range(0, a.shape[0], block):
-        d2 = _chunk_d2(px, py, starts[a[p0 : p0 + block]], starts[b[p0 : p0 + block]])
-        best = max(best, float(np.fmax.reduce(d2, axis=None)))
     return best
 
 
@@ -374,7 +371,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     returns boolean arrays (none, every); only the other chunk pairs are
     evaluated, with ``holds(|dx|, |dy|)``, which must be False on the NaN box
     that pads the last chunk.  Both may overwrite their arguments.  With
-    loops=False, i ~ i is dropped.
+    loops=False, i ~ i is dropped.  Each row block joins its own run pieces.
     """
     starts, boxes, px, py = _chunks(cx, cy, size)
     stops = np.append(starts[1:], cx.shape[0])
@@ -383,7 +380,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     rows_per = max(1, budget // max(starts.shape[0], 1))
     pairs_per = max(1, budget // (size * size))
     none = np.empty(0, np.int64)
-    pieces = [(none, none, none)]
+    blocks = [(none, none, none)]
     for a0 in range(0, starts.shape[0], rows_per):
         skip, every = decide(*_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
         if not loops:
@@ -394,8 +391,8 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
         ra, blo, bhi = _true_runs(every)
         ra += a0
         count = stops[ra] - starts[ra]
-        pieces.append((expand_runs(starts[ra], stops[ra]),
-                       np.repeat(starts[blo], count), np.repeat(stops[bhi - 1], count)))
+        pieces = [(expand_runs(starts[ra], stops[ra]),
+                   np.repeat(starts[blo], count), np.repeat(stops[bhi - 1], count))]
         pa, pb = np.nonzero(~(skip | every))
         for p0 in range(0, pa.shape[0], pairs_per):
             i0 = starts[a0 + pa[p0 : p0 + pairs_per]]
@@ -407,9 +404,9 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
             q, lo, hi = _true_runs(hit.reshape(-1, size))
             pair, off = np.divmod(q, size)
             pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
-    row, lo, hi = (np.concatenate(p) for p in zip(*pieces))
-    order = np.lexsort((lo, row))
-    return join_runs(row[order], lo[order], hi[order])
+        # a block holds every chunk pair of its rows, so its runs are final
+        blocks.append(join_runs(*(np.concatenate(p) for p in zip(*pieces))))
+    return tuple(np.concatenate(b) for b in zip(*blocks))
 
 
 def box_adjacency_runs(cx, cy, side: float, epsilon: float):
@@ -436,14 +433,14 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
 
 
 def join_runs(row, lo, hi):
-    """Maximal runs from runs sorted by row then lo: runs of one row that meet
-    (one's hi is the next one's lo) become one."""
-    split = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
-    first = np.ones(row.shape[0], bool)
-    first[1:] = split
-    last = np.ones(row.shape[0], bool)
-    last[:-1] = split
-    return row[first], lo[first], hi[last]
+    """Maximal runs, sorted by row then lo, from disjoint runs in any order:
+    runs of one row that meet (one's hi is the next one's lo) become one."""
+    order = np.lexsort((lo, row))
+    row, lo, hi = row[order], lo[order], hi[order]
+    # new[r]: run r starts a maximal run, and new[r + 1]: run r ends one
+    new = np.ones(row.shape[0] + 1, bool)
+    new[1:-1] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
+    return row[new[:-1]], lo[new[:-1]], hi[new[1:]]
 
 
 def expand_runs(lo, hi):

@@ -6,7 +6,16 @@ themselves are fixed."""
 import numpy as np
 import pytest
 
-from antipodal import circle_config, convex_hull, discretize_boundary, kernels
+from antipodal import (
+    AntipodalGraph,
+    circle_config,
+    convex_hull,
+    discretize_boundary,
+    kernels,
+    near_set_W,
+    reuleaux_boundary_config,
+)
+from antipodal.boundary import near_runs
 
 from oracles import box_adjacency_brute
 
@@ -22,7 +31,17 @@ def _outputs():
     assert np.array_equal(indptr, b_indptr)
     assert np.array_equal(indices, b_indices)
     counts = [kernels.pair_threshold_counts(xy, eps) for eps in (0.02, 0.1, 0.3)]
-    return indptr, indices, counts, kernels.max_pairwise_distance_sq(xy)
+    # the circle's windows are narrow, and on the Reuleaux boundary the best
+    # d2 grows from block to block at small block sizes; chunks of coincident
+    # points have exact bounds, so a pruning tighter than the best so far
+    # drops the maximum of the last set
+    ties = reuleaux_boundary_config(250, seed=5).coords
+    d = ties[:, None] - ties[None]
+    dmax = [kernels.max_pairwise_distance_sq(p) for p in
+            (xy, circle_config(2000).coords, reuleaux_boundary_config(2000, seed=1).coords,
+             np.repeat(ties, kernels._CHUNK, axis=0))]
+    assert dmax[-1] == (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max()
+    return indptr, indices, counts, dmax
 
 
 @pytest.mark.parametrize("block_elems", [1, 997, 123_457])
@@ -34,3 +53,47 @@ def test_block_size_does_not_change_outputs(monkeypatch, block_elems):
     assert np.array_equal(indices, b_indices)
     assert counts == b_counts
     assert dmax == b_dmax
+
+
+
+@pytest.fixture
+def joins(monkeypatch):
+    """The rows of every `join_runs` call, at a block budget of 16 elements,
+    which gives each row block one chunk row."""
+    calls = []
+    join_runs = kernels.join_runs
+
+    def spy(row, lo, hi):
+        calls.append(row.copy())
+        return join_runs(row, lo, hi)
+
+    monkeypatch.setattr(kernels, "join_runs", spy)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 16)
+    return calls
+
+
+def _assert_one_chunk_row_per_join(calls, k, size):
+    """The calls see the chunk rows of `size` boxes one at a time, in order."""
+    assert [np.unique(c // size).tolist() for c in calls] == [[a] for a in range(-(-k // size))]
+
+
+def test_adjacency_runs_are_joined_one_row_block_at_a_time(joins):
+    boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
+    cx = boxing.centers[:, 0].copy()
+    cy = boxing.centers[:, 1].copy()
+    g = AntipodalGraph(boxing.k, *kernels.box_adjacency_runs(cx, cy, boxing.side,
+                                                             boxing.epsilon))
+    _assert_one_chunk_row_per_join(joins, boxing.k, kernels._GRAPH_CHUNK)
+    b_indptr, b_indices = box_adjacency_brute(cx, cy, boxing.side, boxing.epsilon)
+    assert np.array_equal(g.indptr, b_indptr)
+    assert np.array_equal(g.indices, b_indices)
+
+
+def test_near_runs_are_joined_one_row_block_at_a_time(joins):
+    boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
+    row, lo, hi = near_runs(boxing, 3.0)
+    _assert_one_chunk_row_per_join(joins, boxing.k, kernels._CHUNK)
+    ptr = np.searchsorted(row, np.arange(boxing.k + 1))
+    for i in range(boxing.k):
+        r = slice(ptr[i], ptr[i + 1])
+        assert np.array_equal(kernels.expand_runs(lo[r], hi[r]), near_set_W(boxing, i, 3.0))

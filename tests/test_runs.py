@@ -19,7 +19,14 @@ from antipodal import (
     random_disk_config,
     reuleaux_boundary_config,
 )
-from antipodal.boundary import BoundaryBoxing, max_scaled_tail
+from antipodal.boundary import (
+    BoundaryBoxing,
+    common_neighbor_row,
+    common_neighbors,
+    max_scaled_tail,
+    tail_counts,
+)
+from conftest import complete_graph, random_graph, star_graph
 
 from oracles import box_adjacency_brute, max_scaled_tail_brute
 
@@ -129,6 +136,52 @@ def test_from_csr_and_from_dense_give_the_same_runs():
                   AntipodalGraph.from_dense(g.adjacency)):
         for name in ("row", "lo", "hi", "degrees"):
             assert np.array_equal(getattr(other, name), getattr(g, name))
+
+
+@given(st.sampled_from(sorted(HULLS)), st.sampled_from(EPSILONS),
+       st.one_of(st.none(), st.integers(0, 3)), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_join_runs_takes_runs_in_any_order(hull, eps, shuffle_seed, seed):
+    """Maximal runs cut into touching pieces and shuffled join back into
+    themselves, and from_csr takes each row's neighbors in any order."""
+    g = build_graph(_boxing(hull, eps, shuffle_seed))
+    rng = np.random.default_rng(seed)
+    cut = (rng.random(g.row.shape[0]) < 0.5) & (g.hi - g.lo >= 2)
+    mid = g.lo[cut] + rng.integers(1, (g.hi - g.lo)[cut])
+    row = np.concatenate([g.row, g.row[cut]])
+    lo = np.concatenate([g.lo, mid])
+    hi = g.hi.copy()
+    hi[cut] = mid
+    hi = np.concatenate([hi, g.hi[cut]])
+    perm = rng.permutation(row.shape[0])
+    joined = kernels.join_runs(row[perm], lo[perm], hi[perm])
+    for got, want in zip(joined, (g.row, g.lo, g.hi)):
+        assert np.array_equal(got, want)
+    order = np.lexsort((rng.random(g.indices.shape[0]), g.row_index))
+    other = AntipodalGraph.from_csr(g.k, g.indptr, g.indices[order])
+    for name in ("row", "lo", "hi"):
+        assert np.array_equal(getattr(other, name), getattr(g, name))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph(_boxing("circle", 1 / 64)),
+    lambda: build_graph(_boxing("random-disk", 1 / 64, 2)),
+    lambda: star_graph(6),
+    lambda: complete_graph(5),
+    lambda: random_graph(40, 0.05, 3),
+], ids=["circle", "shuffled-random-disk", "star", "complete", "random"])
+def test_neighbors_read_the_row_runs_only(make):
+    """neighbors(i) is the CSR slice of row i, and neither it nor the
+    common-neighbor counts expand the whole-graph `indices`."""
+    g = make()
+    rows = [g.neighbors(i) for i in range(g.k)]
+    common_neighbors(g, 0, 1)
+    common_neighbor_row(g, 0)
+    tail_counts(g, 0, np.array([0]))
+    assert "indices" not in vars(g)
+    for i, got in enumerate(rows):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, g.indices[g.indptr[i] : g.indptr[i + 1]])
 
 
 @pytest.mark.parametrize("shuffle_seed", [None, 2])
