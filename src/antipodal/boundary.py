@@ -272,7 +272,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
         gy = np.maximum(ay - side, 0.0)
         return gx * gx + gy * gy
 
-    def decide(lx, ux, ly, uy):
+    def decide(a0, lx, ux, ly, uy):
         return gap2(lx, ly) > far2, gap2(ux, uy) < near2
 
     def holds(ax, ay):
@@ -323,7 +323,8 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
 
 def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
     """Rows i0 .. i1 - 1 of A·A outside the near sets, as segments
-    (row - i0, count, length) of consecutive j with one count > 0.
+    (row - i0, count, length) of consecutive j with one count > 0, in row
+    order.
 
     Every run of every m in N(i) steps row i's running sum by +1 at its lo
     and -1 at its hi, and every near run of i by -(k + 1) at its lo and
@@ -402,8 +403,10 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
         i1 = int(np.searchsorted(bound, bound[i0] + budget, side="right")) - 1
         i1 = max(i0 + 1, min(i1, k))
         row, count, length = _far_segments(G, near, i0, i1, work)
-        order = np.lexsort((-count, row))
-        row, count, length = row[order], count[order], length[order]
+        # by row, then by count from the largest down (0 < count <= k); the
+        # rows come in order, so the sort moves segments within rows only
+        order = np.argsort(row * (k + 1) + (k - count), kind="stable")
+        count, length = count[order], length[order]
         total = np.cumsum(length)
         # the cumulative length before each row's first segment
         first = np.ones(row.shape[0], bool)

@@ -9,6 +9,9 @@ sort-tile-recursive order and a whole ε grid in one pass.  The box-pair
 relations (adjacency, and the near sets of `boundary`) share
 `box_pair_runs`, whose rows are maximal runs of consecutive boxes that
 expand to the k×k evaluation (`box_adjacency_csr`), joined per row block.
+The adjacency gives the chunk pairs that the box bound leaves undecided to
+a two-sided bound tight to second order (`_chord_bounds`), so along a
+convex boundary only the chunk pairs at an arc's two ends are evaluated.
 
 The maximum pairwise distance takes chunks in angle order about the
 bounding-box centre, and evaluates a chunk pair only when both the box bound
@@ -61,16 +64,19 @@ def _bounding_boxes(x, y, starts):
     return tuple(f.reduceat(v, starts) for v in (x, y) for f in (np.minimum, np.maximum))
 
 
-def _gap_bounds(boxes, a, b):
-    """Bounds (lx, ux, ly, uy) on |dx| and |dy| over every pair of a point of
+def _gap_upper(boxes, a, b):
+    """Upper bounds (ux, uy) on |dx| and |dy| over every pair of a point of
     group a and a point of group b, for the group indices a and b broadcast
     against each other (a column of rows against a row of columns, say)."""
-    out = []
-    for lo, hi in (boxes[:2], boxes[2:]):
-        lo_a, hi_a, lo_b, hi_b = lo[a], hi[a], lo[b], hi[b]
-        out.append(np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0))
-        out.append(np.maximum(hi_b - lo_a, hi_a - lo_b))
-    return out
+    return [np.maximum(hi[b] - lo[a], hi[a] - lo[b]) for lo, hi in (boxes[:2], boxes[2:])]
+
+
+def _gap_bounds(boxes, a, b):
+    """Bounds (lx, ux, ly, uy) on |dx| and |dy|, as in `_gap_upper`."""
+    ux, uy = _gap_upper(boxes, a, b)
+    lx, ly = (np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+              for lo, hi in (boxes[:2], boxes[2:]))
+    return lx, ux, ly, uy
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         # each kept pair is in the window of both its chunks
         keep = a <= b
         a, b = a[keep], b[keep]
-        _, ux, _, uy = _gap_bounds(boxes, a, b)
+        ux, uy = _gap_upper(boxes, a, b)
         keep = ux * ux + uy * uy >= best
         a, b = a[keep], b[keep]
         if use_polar:
@@ -347,11 +353,14 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 #   distance of two squares of side s is attained at corners), needs no slack;
 # * the near sets of `boundary.near_runs` compare squared gaps with a slack,
 #   since their hypot is not guaranteed monotone.
-# Only the undecided chunk pairs are evaluated, with the relation's own
-# expression, so the runs equal the full k x k evaluation entry for entry.  The
-# order decides only how much is pruned: along a convex boundary in arc-length
-# order a few times nnz pairs of the k**2 are evaluated, and a row holds one
-# run of antipodes, or two where the arc wraps past box k - 1.
+# The adjacency passes the chunk pairs these bounds leave undecided to the
+# second-order `_chord_bounds` (see the comment above `_CHORD_PAD`).  Only
+# the chunk pairs still undecided are evaluated, with the relation's own
+# expression, so the runs equal the full k x k evaluation entry for entry.
+# The order decides only how much is pruned: along a convex boundary in
+# arc-length order the adjacency evaluates 0.66 pairs per graph entry on the
+# 10 000-point circle hull at eps = 1/1024 (2.7 on a Reuleaux sample), and a
+# row holds one run of antipodes, or two where the arc wraps past box k - 1.
 
 
 def _true_runs(mask):
@@ -366,12 +375,13 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     """Maximal runs (row, lo, hi) of a box-pair relation, int64, sorted by row
     then lo: row ~ j for lo <= j < hi.
 
-    The boxes are cut into chunks of `size`.  ``decide(lx, ux, ly, uy)``
-    takes bounds on |dx| and |dy| over every pair of each chunk pair and
-    returns boolean arrays (none, every); only the other chunk pairs are
-    evaluated, with ``holds(|dx|, |dy|)``, which must be False on the NaN box
-    that pads the last chunk.  Both may overwrite their arguments.  With
-    loops=False, i ~ i is dropped.  Each row block joins its own run pieces.
+    The boxes are cut into chunks of `size`.  ``decide(a0, lx, ux, ly, uy)``
+    takes bounds on |dx| and |dy| over every pair of each chunk pair, for the
+    chunk rows from a0 on against every chunk column, and returns boolean
+    arrays (none, every); only the other chunk pairs are evaluated, with
+    ``holds(|dx|, |dy|)``, which must be False on the NaN box that pads the
+    last chunk.  Both may overwrite their arguments.  With loops=False,
+    i ~ i is dropped.  Each row block joins its own run pieces.
     """
     starts, boxes, px, py = _chunks(cx, cy, size)
     stops = np.append(starts[1:], cx.shape[0])
@@ -382,7 +392,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     none = np.empty(0, np.int64)
     blocks = [(none, none, none)]
     for a0 in range(0, starts.shape[0], rows_per):
-        skip, every = decide(*_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
+        skip, every = decide(a0, *_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
         if not loops:
             # a chunk's own pairs include i ~ i, so they are evaluated
             own = np.arange(every.shape[0])
@@ -409,10 +419,115 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     return tuple(np.concatenate(b) for b in zip(*blocks))
 
 
+# ---------------------------------------------------------------------------
+# a two-sided bound on the box graph's reach, tight to second order
+# ---------------------------------------------------------------------------
+# Adjacency compares reach2 = (|dx| + s)**2 + (|dy| + s)**2 of two centres p
+# and q with thr2 = (1 - eps)**2.  For s >= 0, (|dx| + s)**2 is the larger of
+# (dx + s)**2 and (dx - s)**2, so reach2 is the largest |p + sigma s - q|**2
+# over the four sigma in {-1, 1}**2: a corner distance is a point distance.
+# Each chunk is its end-centre segment m +- h plus delta, the largest distance
+# of one of its centres from that segment, so p = m_a + t h_a + r with
+# -1 <= t <= 1 and |r| <= delta_a.  For any e != 0 and e' = (-e_y, e_x),
+# exactly orthogonal to e and as long, |v|**2 |e|**2 = (v.e)**2 + (v.e')**2.
+# With g = m_a - m_b, w = s (|e_x| + |e_y|) >= |sigma s.e|, |sigma s.e'| and
+# R = |h_a.e| + |h_b.e| + (delta_a + delta_b) |e|, every pair of the two
+# chunks has |(p + sigma s - q).e| <= |g.e| + w + R for every sigma, and
+# likewise along e' with R'.  So reach2 is at most
+# ((|g.e| + w + R)**2 + (|g.e'| + w + R')**2) / |e|**2.  `_chord_bounds`
+# takes e = g scaled by its largest coordinate, or (1, 0) where g is 0; then
+# g.e >= 0, and for the sigma of the signs of g, sigma s.e = w, so reach2 is
+# at least (g.e + w - R)**2 / |e|**2 where g.e + w >= R.  Across an antipodal
+# chunk pair the chunks run nearly perpendicular to the chord g, so h.e,
+# delta, g.e' and (w + R')**2 are all of second order in the chunk width,
+# where the box bound loses a whole chunk width to first order: of an arc's
+# chunk pairs, only those at its two ends stay undecided.
+#
+# In floats, the centres are taken about the centre of their bounding box,
+# and M is their largest coordinate there plus s.  fl(p - o) is within
+# 2**-53 M of p - o, which moves the exact reach2 by at most 2**-48 M**2.
+# The bound holds for the computed m, h, t and e as they are (any t in
+# [-1, 1] will do), as long as delta is computed from the residual
+# p - m - t h.  Every term summed into g.e + w + R and |g.e'| + w + R' is
+# at most 24 M (|e| <= sqrt(2), |g| <= 3 M, delta <= 5 M) and carries a few
+# roundings of 2**-53 relative; only the sums inside h.e and h.e' cancel,
+# and they too are within 2**-50 M.  So each sum is within 2**-45 M of its
+# exact value, and the computed bounds are within 2**-38 M**2 of exact
+# bounds of the shifted centres.  The computed reach2 is within 6 * 2**-53
+# relative of the exact one.  Where M**2 <= _CHORD_MAX_SPAN2 * thr2 these
+# errors stay below 2**-33 thr2, while the pad of _CHORD_PAD relative keeps
+# every decided bound 1e-9 thr2 or more from thr2, so no pair is decided
+# wrong.  An underflow loses at most 2**-1074 absolute per operation, far
+# below that margin once thr2 lies in _CHORD_THR2; that range and
+# M**2 <= 16 thr2 keep every value finite.  Outside these ranges (a larger
+# M, a non-finite coordinate, s < 0 or thr2 out of range) the box bound
+# works alone.
+
+# the chord bound's relative pad, and where it holds (see above)
+_CHORD_PAD = 1e-9
+_CHORD_MAX_SPAN2 = 16.0
+_CHORD_THR2 = (2.0**-800, 2.0**800)
+
+
+def _chord_chunks(x, y, starts, side, thr2):
+    """(mx, my, hx, hy, delta) of each chunk of consecutive centres at
+    `starts`, about the centres' bounding-box centre: its end-centre segment
+    m +- h and the largest distance of its centres from that segment; None
+    where `_chord_bounds` does not hold (see above)."""
+    if x.shape[0] == 0 or not (side >= 0.0 and _CHORD_THR2[0] <= thr2 <= _CHORD_THR2[1]):
+        return None
+    x = x - (0.5 * x.min() + 0.5 * x.max())
+    y = y - (0.5 * y.min() + 0.5 * y.max())
+    span = max(np.abs(x).max(), np.abs(y).max()) + side
+    if not span * span <= _CHORD_MAX_SPAN2 * thr2:
+        return None
+    last = np.append(starts[1:], x.shape[0]) - 1
+    mx, my = 0.5 * x[last] + 0.5 * x[starts], 0.5 * y[last] + 0.5 * y[starts]
+    hx, hy = 0.5 * x[last] - 0.5 * x[starts], 0.5 * y[last] - 0.5 * y[starts]
+    size = last + 1 - starts
+    vx, vy = x - np.repeat(mx, size), y - np.repeat(my, size)
+    ux, uy = np.repeat(hx, size), np.repeat(hy, size)
+    # t = v.h / |h|**2 clipped to [-1, 1]; any t there will do where |h|**2
+    # underflows
+    t = (vx * ux + vy * uy) / np.maximum(ux * ux + uy * uy, np.finfo(float).tiny)
+    t = np.minimum(np.maximum(t, -1.0), 1.0)
+    delta = np.maximum.reduceat(np.hypot(vx - t * ux, vy - t * uy), starts)
+    return mx, my, hx, hy, delta
+
+
+def _chord_bounds(chunks, side, a, b):
+    """Padded bounds (lower, upper) on (|dx| + s)**2 + (|dy| + s)**2 over
+    every pair of a centre of chunk a and a centre of chunk b, for the chunk
+    index arrays a and b of `_chord_chunks`."""
+    mx, my, hx, hy, delta = chunks
+    gx, gy = mx[a] - mx[b], my[a] - my[b]
+    scale = np.maximum(np.abs(gx), np.abs(gy))
+    flat = scale == 0.0
+    scale[flat] = 1.0
+    ex = gx / scale
+    ex[flat] = 1.0
+    ey = gy / scale
+    ee = ex * ex + ey * ey
+    w = side * (np.abs(ex) + np.abs(ey))
+    d = (delta[a] + delta[b]) * np.sqrt(ee)
+    r = np.abs(hx[a] * ex + hy[a] * ey) + np.abs(hx[b] * ex + hy[b] * ey) + d
+    r2 = np.abs(hy[a] * ex - hx[a] * ey) + np.abs(hy[b] * ex - hx[b] * ey) + d
+    ge = gx * ex + gy * ey + w
+    gp = np.abs(gy * ex - gx * ey) + w + r2
+    lo = np.maximum(ge - r, 0.0)
+    ge += r
+    return lo * lo / ee * (1.0 - _CHORD_PAD), (ge * ge + gp * gp) / ee * (1.0 + _CHORD_PAD)
+
+
 def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     """Maximal runs (row, lo, hi) of the box graph, int64, sorted by row then
-    lo: row ~ j for lo <= j < hi, iff max box distance >= 1 - eps."""
+    lo: row ~ j for lo <= j < hi, iff max box distance >= 1 - eps.
+
+    The chunk pairs that the box bound leaves undecided go to the chord bound
+    (`_chord_bounds`), and only those it leaves undecided are evaluated."""
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
+    size = _GRAPH_CHUNK
+    chunks = _chord_chunks(cx, cy, np.arange(0, cx.shape[0], size), side, thr2)
 
     def reach2(ax, ay):
         # (|dx| + s)**2 + (|dy| + s)**2, in place
@@ -423,13 +538,19 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
         ax += ay
         return ax
 
-    def decide(lx, ux, ly, uy):
-        return reach2(ux, uy) < thr2, reach2(lx, ly) >= thr2
+    def decide(a0, lx, ux, ly, uy):
+        none, every = reach2(ux, uy) < thr2, reach2(lx, ly) >= thr2
+        if chunks is not None:
+            a, b = np.nonzero(~(none | every))
+            lo, hi = _chord_bounds(chunks, side, a + a0, b)
+            none[a, b] = hi < thr2
+            every[a, b] = lo >= thr2
+        return none, every
 
     def holds(ax, ay):
         return reach2(ax, ay) >= thr2
 
-    return box_pair_runs(cx, cy, _GRAPH_CHUNK, decide, holds, loops=False)
+    return box_pair_runs(cx, cy, size, decide, holds, loops=False)
 
 
 def join_runs(row, lo, hi):

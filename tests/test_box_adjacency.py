@@ -1,7 +1,9 @@
 """The chunk-pruned box adjacency is exact: its CSR equals the full k x k
 evaluation of the same expression entry for entry, on boundary boxes in
 arc-length order, on the same boxes shuffled, at exact ties with the
-threshold, and at every chunk size."""
+threshold, and at every chunk size.  The chord bound that decides chunk pairs
+whole holds on both sides for every pair, and is tight enough that fewer box
+pairs are evaluated than the graph has entries."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from antipodal import (
     arc_center_config,
+    build_graph,
     circle_config,
     convex_hull,
     discretize_boundary,
@@ -167,8 +170,121 @@ def test_graph_chunk_does_not_follow_the_block_budget(monkeypatch):
     assert sizes == [kernels._GRAPH_CHUNK] == [32]
 
 
-@pytest.mark.parametrize("k", [3, 31])
+@pytest.mark.parametrize("k", [1, 2, 3, 31])
 def test_fewer_boxes_than_a_chunk(k):
     ang = np.linspace(0.0, 2 * np.pi, k, endpoint=False)
     cx, cy = 0.5 * np.cos(ang), 0.5 * np.sin(ang)
     _assert_matches_brute(cx, cy, 0.05, 0.1)
+
+
+def _assert_graph_bounds_hold(cx, cy, side, eps, size=32, bounds=None):
+    """Every computed (|dx| + s)**2 + (|dy| + s)**2 of a pair of centres lies
+    inside `kernels._chord_bounds` of their two chunks of `size` consecutive
+    centres, both sides; `bounds` stands in for `_chord_bounds`."""
+    starts = np.arange(0, cx.shape[0], size)
+    chunks = kernels._chord_chunks(cx, cy, starts, side, (1.0 - eps) * (1.0 - eps))
+    assert chunks is not None
+    m = starts.shape[0]
+    a, b = np.divmod(np.arange(m * m), m)
+    lo, hi = (bounds or kernels._chord_bounds)(chunks, side, a, b)
+    group = np.arange(cx.shape[0]) // size
+    pair = group[:, None] * m + group
+    ax = np.abs(cx[:, None] - cx) + side
+    ay = np.abs(cy[:, None] - cy) + side
+    reach2 = ax * ax + ay * ay
+    assert (lo[pair] <= reach2).all()
+    assert (reach2 <= hi[pair]).all()
+
+
+def _lattice_tie_set(seed):
+    """Centres on the lattice j/64 with offsets that tie the threshold at
+    side 1/64 and ε = 1/16 (see `_TIES`), shuffled."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 81, (60, 2))
+    ties = base[rng.integers(0, 60, 40)] + np.array(_TIES)[rng.integers(0, 4, 40)]
+    return rng.permutation(np.vstack([base, ties])) / 64
+
+
+@pytest.mark.parametrize("size", [1, 5, 32])
+@pytest.mark.parametrize("eps", [1 / 64, 1 / 128])
+@pytest.mark.parametrize("hull", ["circle", "reuleaux", "random-disk"])
+def test_graph_bounds_hold_every_pair(boxings, hull, eps, size):
+    boxing = boxings(hull, eps)
+    perm = np.random.default_rng(3).permutation(boxing.k)
+    for order in (np.arange(boxing.k), perm):
+        _assert_graph_bounds_hold(boxing.centers[order, 0].copy(),
+                                  boxing.centers[order, 1].copy(), boxing.side, eps, size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 32])
+def test_graph_bounds_hold_at_lattice_ties(size):
+    for seed in range(4):
+        xy = _lattice_tie_set(seed)
+        _assert_graph_bounds_hold(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16, size)
+
+
+def _antipodal_chunks():
+    """Eight 32-box chunks of the 10 000-point circle hull at ε = 1/1024 and
+    the eight chunks across from them, where the bound is second-order tight."""
+    boxing = discretize_boundary(convex_hull(circle_config(10_000)), 1 / 1024)
+    half = boxing.k // 2 // 32 * 32
+    pick = np.r_[0:256, half : half + 256]
+    return boxing.centers[pick, 0].copy(), boxing.centers[pick, 1].copy(), boxing.side, 1 / 1024
+
+
+def test_graph_bounds_hold_across_antipodal_chunks():
+    _assert_graph_bounds_hold(*_antipodal_chunks())
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_shrunk_graph_bound_fails(side):
+    """The check above sees either side moved 1e-3 inward: across the
+    circle's antipodal 32-box chunks both sides are that tight."""
+    def shrunk(*args):
+        lo, hi = kernels._chord_bounds(*args)
+        return (lo * (1.0 + 1e-3), hi) if side == "lower" else (lo, hi * (1.0 - 1e-3))
+
+    with pytest.raises(AssertionError):
+        _assert_graph_bounds_hold(*_antipodal_chunks(), bounds=shrunk)
+
+
+def _stand_down_sets():
+    ang = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
+    ring = 0.5 * np.column_stack([np.cos(ang), np.sin(ang)])
+    # spans the bound stands down at, and tiny ones it still takes
+    for span in (1e-300, 1e-150, 1e-8, 30.0, 1e150, 1e300):
+        yield f"ring-{span:g}", span * ring, 0.05, 0.1
+    yield "offset-1e12", ring + 1e12, 0.05, 0.1
+    yield "coincident", np.full((70, 2), 0.3), 0.05, 0.1
+    yield "coincident-chunks", np.repeat(ring[::9], 32, axis=0), 0.05, 0.1
+    yield "huge-side", ring, 1e200, 0.1
+    yield "eps-near-1", 1e-200 * ring, 1e-201, 1.0 - 1e-250
+
+
+@pytest.mark.parametrize("name, xy, side, eps", list(_stand_down_sets()),
+                         ids=[s[0] for s in _stand_down_sets()])
+def test_graph_bound_stand_down_matches_brute(name, xy, side, eps):
+    """Where the chord bound does not hold (huge spans or sides, thr2 out of
+    range) the box bound works alone; at tiny spans and coincident centres
+    (whole chunks of them too) it still holds.  Either way the runs are
+    exact."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), side, eps)
+
+
+def test_circle_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
+    """With the chord bound, `build_graph` on the 10 000-point circle hull at
+    ε = 1/1024 evaluates 0.66 box pairs per entry of the graph; the box bound
+    alone evaluated 2.56."""
+    evaluated = []
+    chunk_gaps = kernels._chunk_gaps
+
+    def spy(px, py, i0, j0, size):
+        evaluated.append(i0.shape[0] * size * size)
+        return chunk_gaps(px, py, i0, j0, size)
+
+    monkeypatch.setattr(kernels, "_chunk_gaps", spy)
+    G = build_graph(discretize_boundary(convex_hull(circle_config(10_000)), 1 / 1024))
+    nnz = int(G.degrees.sum())
+    assert nnz == 1_490_370
+    assert 0 < sum(evaluated) < nnz
