@@ -137,24 +137,24 @@ def spans(cfg: AnnulusPairConfig) -> tuple[float, float]:
     return width, height
 
 
-def _cell_window(x_extent, y_low, y_high, pitch):
-    """Origin-anchored cell index window covering the region, 1-cell padded."""
+def _occupancy(d, r_in, r_out, epsilon, x_extent, y_low, y_high, resolution):
+    """Occupied cells of the annuli of radii [r_in, r_out] on the ε/2 grid
+    anchored at the origin, over the cell window covering |x| <= x_extent,
+    y_low <= y <= y_high, padded by one cell."""
+    pitch = epsilon / 2.0
     ix0 = math.floor(-x_extent / pitch) - 1
     ix1 = math.floor(x_extent / pitch) + 1
     iy0 = math.floor(y_low / pitch) - 1
     iy1 = math.floor(y_high / pitch) + 1
-    return ix0, ix1, iy0, iy1
+    return kernels.annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, resolution)
 
 
 def occupancy_grid(cfg: AnnulusPairConfig, resolution: int = 8) -> np.ndarray:
     """Occupied ε/2 cells of the upper region (boolean grid over the window)."""
     verts = intersection_vertices(cfg)
-    pitch = cfg.epsilon / 2.0
-    y_low = min(verts.axis_inner.y, verts.side_pos.y)
-    ix0, ix1, iy0, iy1 = _cell_window(verts.side_pos.x, y_low, verts.axis_outer.y, pitch)
-    return kernels.annuli_occupancy_grid(
-        cfg.d, 1.0 - cfg.epsilon, 1.0, pitch, ix0, ix1, iy0, iy1, resolution
-    )
+    return _occupancy(cfg.d, 1.0 - cfg.epsilon, 1.0, cfg.epsilon, verts.side_pos.x,
+                      min(verts.axis_inner.y, verts.side_pos.y), verts.axis_outer.y,
+                      resolution)
 
 
 def cover_count(cfg: AnnulusPairConfig, resolution: int = 8) -> int:
@@ -191,13 +191,9 @@ def thickened_cover_count(d: float, epsilon: float, resolution: int = 8) -> int:
         )
     r_in = 1.0 - 2.0 * epsilon
     r_out = 1.0 + epsilon
-    pitch = epsilon / 2.0
     x_side, y_side = _circle_cross_upper(-d / 2.0, r_out, d / 2.0, r_in)
     _, y_top = _circle_cross_upper(-d / 2.0, r_out, d / 2.0, r_out)
     _, y_bot = _circle_cross_upper(-d / 2.0, r_in, d / 2.0, r_in)
-    y_low = min(y_bot, y_side)
-    ix0, ix1, iy0, iy1 = _cell_window(abs(x_side), y_low, y_top, pitch)
-    grid = kernels.annuli_occupancy_grid(
-        d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, resolution
-    )
+    grid = _occupancy(d, r_in, r_out, epsilon, abs(x_side), min(y_bot, y_side), y_top,
+                      resolution)
     return int(grid.sum())

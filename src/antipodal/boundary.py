@@ -22,43 +22,32 @@ of run indices, so the sweep never lists them one by one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .geometry import ConvexPolygon, Point, _check_epsilon
+from .geometry import ConvexPolygon, _check_epsilon
 
 
 # relative slack on r**2 in the near-set pruning, which covers the rounding of
 # the squared gap bounds and of hypot (not guaranteed monotone); below the
 # normal range of r**2 the pruning decides nothing
 _SLACK = 1e-9
-# the tail keeps about six int64 words per event of a block (three work arrays
-# and three of temporaries), so its blocks hold kernels._BLOCK_ELEMS //
-# _TAIL_SHARE events
-_TAIL_SHARE = 16
 
 
 class IsolatedVertexError(ValueError):
     """The requested vertex has no neighbors."""
 
 
-class Box(NamedTuple):
-    center: Point
-    side: float
-
-    def corners(self) -> list[Point]:
-        h = self.side / 2.0
-        cx, cy = self.center
-        return [
-            Point(cx - h, cy - h),
-            Point(cx + h, cy - h),
-            Point(cx + h, cy + h),
-            Point(cx - h, cy + h),
-        ]
+def _vertex(i, k: int) -> int:
+    """i as a vertex index of a k-vertex graph; IndexError unless 0 <= i < k."""
+    i = operator.index(i)
+    if not 0 <= i < k:
+        raise IndexError(f"vertex {i} out of range for {k} vertices")
+    return i
 
 
 @dataclass(frozen=True)
@@ -108,25 +97,6 @@ def discretize_boundary(hull: ConvexPolygon, epsilon: float) -> BoundaryBoxing:
     local = (s - cum[edge_idx]) / lengths[edge_idx]
     centers = verts[edge_idx] + local[:, None] * edges[edge_idx]
     return BoundaryBoxing(centers, epsilon)
-
-
-def box_max_distance(a: Box, b: Box) -> float:
-    """Exact max distance between two closed squares: max over corner pairs."""
-    best = 0.0
-    for pa in a.corners():
-        for pb in b.corners():
-            d = math.hypot(pa.x - pb.x, pa.y - pb.y)
-            if d > best:
-                best = d
-    return best
-
-
-def box_min_distance(a: Box, b: Box) -> float:
-    """Exact min distance between two closed axis-aligned squares."""
-    h = (a.side + b.side) / 2.0
-    gx = max(0.0, abs(a.center.x - b.center.x) - h)
-    gy = max(0.0, abs(a.center.y - b.center.y) - h)
-    return math.hypot(gx, gy)
 
 
 @dataclass(frozen=True)
@@ -186,6 +156,7 @@ class AntipodalGraph:
         return dense
 
     def neighbors(self, i: int) -> np.ndarray:
+        i = _vertex(i, self.k)
         r = slice(self.run_ptr[i], self.run_ptr[i + 1])
         return kernels.expand_runs(self.lo[r], self.hi[r])
 
@@ -225,7 +196,10 @@ class AntipodalGraph:
 
 
 def build_graph(boxing: BoundaryBoxing) -> AntipodalGraph:
-    """Adjacency over boxes: i ~ j iff box_max_distance(B_i, B_j) >= 1 - ε."""
+    """Adjacency over boxes: i ~ j (i != j) iff their largest point-to-point
+    distance reaches 1 - ε, that is (|dx| + s)² + (|dy| + s)² >= (1 - ε)² for
+    centres |dx|, |dy| apart and side s = ε/2, evaluated in that form
+    (`kernels.box_adjacency_runs`)."""
     row, lo, hi = kernels.box_adjacency_runs(boxing.centers[:, 0], boxing.centers[:, 1],
                                              boxing.side, boxing.epsilon)
     return AntipodalGraph(k=boxing.k, row=row, lo=lo, hi=hi)
@@ -236,13 +210,15 @@ def near_set_W(boxing: BoundaryBoxing, i: int, factor: float = 100.0) -> np.ndar
 
     The threshold is inclusive, so i itself is always a member.
     """
+    i = _vertex(i, boxing.k)
     c = boxing.centers
     gap = _box_gap(np.abs(c[:, 0] - c[i, 0]), np.abs(c[:, 1] - c[i, 1]), boxing.side)
     return np.nonzero(gap <= factor * boxing.epsilon)[0]
 
 
 def _box_gap(ax, ay, side: float):
-    """Min distance between two side-s boxes whose centers are |dx|, |dy| apart."""
+    """Min distance between two side-s boxes whose centers are |dx|, |dy| apart:
+    hypot(max(|dx| - s, 0), max(|dy| - s, 0)), the near sets' relation."""
     return np.hypot(np.maximum(ax - side, 0.0), np.maximum(ay - side, 0.0))
 
 
@@ -284,6 +260,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
 
 def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:
     """|N(i) & N(j)| via sorted neighbor-list intersection."""
+    i, j = _vertex(i, G.k), _vertex(j, G.k)
     if i == j:
         raise ValueError("common_neighbors requires distinct vertices")
     a = G.neighbors(i)
@@ -316,6 +293,7 @@ def tail_counts(G: AntipodalGraph, i: int, W: np.ndarray) -> np.ndarray:
 
 def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
     """Sum of degrees over N(i); equals sum_j |N(j) & N(i)| by double counting."""
+    i = _vertex(i, G.k)
     if G.degrees[i] < 1:
         raise IsolatedVertexError(f"vertex {i} is isolated")
     return int(G.neighborhood_degree_sums[i])
@@ -383,8 +361,9 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
 
     Row i sweeps two events per run of each m in N(i) and two per near run
     of i, so blocks are cut on the running sum of those event counts to hold
-    at most ``kernels._BLOCK_ELEMS // _TAIL_SHARE`` events (a one-row block
-    may hold more).
+    at most ``kernels._per_block()`` events (a one-row block may hold more):
+    a block keeps about six int64 words per event, three work arrays and three
+    of temporaries.
     """
     if boxing.k != G.k:
         raise ValueError(f"boxing has {boxing.k} boxes but the graph has {G.k} vertices")
@@ -394,7 +373,7 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     near = nrow, nlo, nhi, nptr
     bound = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), out=bound[1:])
-    budget = kernels._BLOCK_ELEMS // _TAIL_SHARE
+    budget = kernels._per_block()
     size = max(budget, int(np.diff(bound).max()))
     work = [np.empty(size, np.int64) for _ in range(3)] + [np.empty(size, bool)]
     best = 0

@@ -12,6 +12,8 @@ expand to the k×k evaluation (`box_adjacency_csr`), joined per row block.
 The adjacency gives the chunk pairs that the box bound leaves undecided to
 a two-sided bound tight to second order (`_chord_bounds`), so along a
 convex boundary only the chunk pairs at an arc's two ends are evaluated.
+Every chunked loop, the tail of `boundary` too, takes its block size from
+one budget (`_per_block`).
 
 The maximum pairwise distance takes chunks in angle order about the
 bounding-box centre, and evaluates a chunk pair only when both the box bound
@@ -33,19 +35,27 @@ NumPy references: the package's own products run on the runs
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-# elements per block for the chunked NumPy paths: each float64 temporary of a
-# block is 8 MB, which bounds their peak memory at a few tens of MB
+# the block budget of every chunked loop (`_per_block`): the temporaries of a
+# block hold _BLOCK_ELEMS elements in all, 8 MB of float64, which bounds the
+# loops' peak memory at a few tens of MB.  An item (a chunk row, chunk pair,
+# window pair or tail event) keeps _TEMPS temporaries of its width unless its
+# loop says otherwise
 _BLOCK_ELEMS = 1_000_000
-# a share of _BLOCK_ELEMS per block of chunk pairs: evaluating a pair keeps a
-# handful of float64 temporaries
-_PAIR_SHARE = 16
+_TEMPS = 16
 # points per chunk of the pair counts, the diameter and the near sets
 _CHUNK = 16
 # boxes per chunk of the box graph
 _GRAPH_CHUNK = 32
+
+
+def _per_block(width=1, temps=_TEMPS):
+    """How many items one block holds, at least 1, when each keeps `temps`
+    temporaries of `width` elements."""
+    return max(1, _BLOCK_ELEMS // temps // max(width, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +148,18 @@ def _polar_bounds(boxes, a, b):
 # chunk pairs: one chunk cut and one NaN-padded gather for every engine
 # ---------------------------------------------------------------------------
 
+def _cut(n, size):
+    """The starts and stops of the chunks of `size` consecutive items of n."""
+    starts = np.arange(0, n, size)
+    return starts, np.append(starts[1:], n)
+
+
 def _chunks(x, y, size):
-    """The starts of the chunks of `size` consecutive points, their exact
-    bounding boxes, and x and y with the NaN point of `_chunk_gaps` appended."""
-    starts = np.arange(0, x.shape[0], size)
-    return starts, _bounding_boxes(x, y, starts), np.append(x, np.nan), np.append(y, np.nan)
+    """The starts and stops of the chunks of `size` consecutive points, their
+    exact bounding boxes, and x and y with the NaN point of `_chunk_gaps`
+    appended."""
+    starts, stops = _cut(x.shape[0], size)
+    return starts, stops, _bounding_boxes(x, y, starts), np.append(x, np.nan), np.append(y, np.nan)
 
 
 def _chunk_gaps(px, py, i0, j0, size):
@@ -203,11 +220,11 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
         return list(zip(near, far))
     near_max = max(near_sq)
     far_min = min(far_sq)
-    starts, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
+    starts, stops, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
     m = starts.shape[0]
-    size = np.diff(np.append(starts, n))
-    rows_per = max(1, _BLOCK_ELEMS // _PAIR_SHARE // m)
-    pairs_per = max(1, _BLOCK_ELEMS // _PAIR_SHARE // (_CHUNK * _CHUNK))
+    size = stops - starts
+    rows_per = _per_block(m)
+    pairs_per = _per_block(_CHUNK * _CHUNK)
     lower = np.tril_indices(_CHUNK)
     for a0 in range(0, m, rows_per):
         # chunk pairs a <= b that some threshold can count a pair of; a
@@ -294,7 +311,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         dy = y - y[j]
         best = max(best, float((dx * dx + dy * dy).max()))
 
-    starts, boxes, px, py = _chunks(x, y, _CHUNK)
+    starts, _, boxes, px, py = _chunks(x, y, _CHUNK)
     m = starts.shape[0]
     polar = _polar_boxes(r, t, starts)
     rad, tmin, tmax = polar
@@ -316,8 +333,10 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         count[(num > 0.0) & (cosine > 1.0)] = 0
     ends = np.zeros(m + 1, np.int64)
     np.cumsum(count, out=ends[1:])
-    budget = max(1, _BLOCK_ELEMS // 64)
-    block = max(1, _BLOCK_ELEMS // (_CHUNK * _CHUNK))
+    # a window pair's bounds make some sixty temporaries, and an evaluated
+    # chunk pair keeps two, d2 and dy
+    budget = _per_block(temps=64)
+    block = _per_block(_CHUNK * _CHUNK, temps=2)
     a0 = 0
     while a0 < m:
         a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + budget, side="right")) - 1)
@@ -349,10 +368,9 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 # boxes, and `_gap_bounds` on the chunks' bounding boxes bounds the |dx| and
 # |dy| of every pair of a chunk pair.  Each relation decides a chunk pair
 # whole from them (no pair holds, or every pair does):
-# * adjacency, (|dx| + s)**2 + (|dy| + s)**2 >= (1 - eps)**2 (the maximum
-#   distance of two squares of side s is attained at corners), needs no slack;
+# * the adjacency of `box_adjacency_runs` needs no slack;
 # * the near sets of `boundary.near_runs` compare squared gaps with a slack,
-#   since their hypot is not guaranteed monotone.
+#   since their hypot (`boundary._box_gap`) is not guaranteed monotone.
 # The adjacency passes the chunk pairs these bounds leave undecided to the
 # second-order `_chord_bounds` (see the comment above `_CHORD_PAD`).  Only
 # the chunk pairs still undecided are evaluated, with the relation's own
@@ -383,12 +401,10 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     last chunk.  Both may overwrite their arguments.  With loops=False,
     i ~ i is dropped.  Each row block joins its own run pieces.
     """
-    starts, boxes, px, py = _chunks(cx, cy, size)
-    stops = np.append(starts[1:], cx.shape[0])
+    starts, stops, boxes, px, py = _chunks(cx, cy, size)
     span = np.arange(size)
-    budget = _BLOCK_ELEMS // _PAIR_SHARE
-    rows_per = max(1, budget // max(starts.shape[0], 1))
-    pairs_per = max(1, budget // (size * size))
+    rows_per = _per_block(starts.shape[0])
+    pairs_per = _per_block(size * size)
     none = np.empty(0, np.int64)
     blocks = [(none, none, none)]
     for a0 in range(0, starts.shape[0], rows_per):
@@ -469,11 +485,11 @@ _CHORD_MAX_SPAN2 = 16.0
 _CHORD_THR2 = (2.0**-800, 2.0**800)
 
 
-def _chord_chunks(x, y, starts, side, thr2):
-    """(mx, my, hx, hy, delta) of each chunk of consecutive centres at
-    `starts`, about the centres' bounding-box centre: its end-centre segment
-    m +- h and the largest distance of its centres from that segment; None
-    where `_chord_bounds` does not hold (see above)."""
+def _chord_chunks(x, y, size, side, thr2):
+    """(mx, my, hx, hy, delta) of each chunk of `size` consecutive centres,
+    about the centres' bounding-box centre: its end-centre segment m +- h and
+    the largest distance of its centres from that segment; None where
+    `_chord_bounds` does not hold (see above)."""
     if x.shape[0] == 0 or not (side >= 0.0 and _CHORD_THR2[0] <= thr2 <= _CHORD_THR2[1]):
         return None
     x = x - (0.5 * x.min() + 0.5 * x.max())
@@ -481,12 +497,13 @@ def _chord_chunks(x, y, starts, side, thr2):
     span = max(np.abs(x).max(), np.abs(y).max()) + side
     if not span * span <= _CHORD_MAX_SPAN2 * thr2:
         return None
-    last = np.append(starts[1:], x.shape[0]) - 1
+    starts, stops = _cut(x.shape[0], size)
+    last = stops - 1
     mx, my = 0.5 * x[last] + 0.5 * x[starts], 0.5 * y[last] + 0.5 * y[starts]
     hx, hy = 0.5 * x[last] - 0.5 * x[starts], 0.5 * y[last] - 0.5 * y[starts]
-    size = last + 1 - starts
-    vx, vy = x - np.repeat(mx, size), y - np.repeat(my, size)
-    ux, uy = np.repeat(hx, size), np.repeat(hy, size)
+    count = stops - starts
+    vx, vy = x - np.repeat(mx, count), y - np.repeat(my, count)
+    ux, uy = np.repeat(hx, count), np.repeat(hy, count)
     # t = v.h / |h|**2 clipped to [-1, 1]; any t there will do where |h|**2
     # underflows
     t = (vx * ux + vy * uy) / np.maximum(ux * ux + uy * uy, np.finfo(float).tiny)
@@ -521,13 +538,16 @@ def _chord_bounds(chunks, side, a, b):
 
 def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     """Maximal runs (row, lo, hi) of the box graph, int64, sorted by row then
-    lo: row ~ j for lo <= j < hi, iff max box distance >= 1 - eps.
+    lo: row ~ j for lo <= j < hi, iff row != j and
+    (|dx| + s)**2 + (|dy| + s)**2 >= (1 - eps)**2, with |dx|, |dy| the gaps
+    of the two centres and s = `side`: the two boxes' largest distance, which
+    two squares attain at corners, reaches 1 - eps.
 
     The chunk pairs that the box bound leaves undecided go to the chord bound
     (`_chord_bounds`), and only those it leaves undecided are evaluated."""
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
     size = _GRAPH_CHUNK
-    chunks = _chord_chunks(cx, cy, np.arange(0, cx.shape[0], size), side, thr2)
+    chunks = _chord_chunks(cx, cy, size, side, thr2)
 
     def reach2(ax, ay):
         # (|dx| + s)**2 + (|dy| + s)**2, in place
@@ -615,7 +635,10 @@ def _first_true(pred, n, m):
 
 def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
     """Boolean occupancy grid of the annuli intersection over the cell window;
-    ValueError when an index is too large for exact sample coordinates."""
+    ValueError when res is not an integer >= 1, or when an index is too large
+    for exact sample coordinates."""
+    if isinstance(res, bool) or not isinstance(res, numbers.Integral) or res < 1:
+        raise ValueError(f"resolution must be an integer >= 1, got {res!r}")
     ix0, ix1, iy0, iy1, res = int(ix0), int(ix1), int(iy0), int(iy1), int(res)
     if max(abs(ix0), abs(ix1), abs(iy0), abs(iy1)) * 2 * res >= 2**53:
         raise ValueError("cell window index too large for exact sample "

@@ -14,8 +14,10 @@ Four quantities, ordered λ1 <= CW(sqrt(d)) <= max_i sqrt(sum_{j~i} d_j)
 * the Cauchy-Schwarz relaxation of that certificate;
 * the trace bound sqrt(tr(M^T M)) = sqrt(2|E|).
 
-`lambda1_bracket` brackets λ1 two-sidedly: the Rayleigh quotient of the
-Perron vector below, the Collatz-Wielandt bound at that vector above.
+One function solves and certifies λ1: `perron_pair` returns (λ1, Perron
+vector, residual), and `lambda1` and `lambda1_bracket` read from it.  The
+bracket is two-sided: the Rayleigh quotient of the Perron vector below, the
+Collatz-Wielandt bound at that vector above.
 
 Isolated vertices are removed inside each operation (restriction), so the
 stored graph stays faithful to the raw discretization.  Every operation
@@ -26,6 +28,7 @@ on first use, not with the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +71,10 @@ def _nonisolated(G: AntipodalGraph) -> np.ndarray:
 
 
 def _check_solver_args(tol: float, max_iter: int) -> None:
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 def power_iteration(
@@ -99,7 +102,7 @@ def power_iteration(
     v = np.zeros(G.k)
     v[live] = 1.0 / math.sqrt(k_eff)
     lam_prev = math.inf
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         w = G.matvec(v) + v
         lam_shift = float(v @ w)  # Rayleigh quotient of M + I (v is unit)
         lam = lam_shift - 1.0
@@ -126,8 +129,8 @@ def perron_pair(
     G: AntipodalGraph,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and nonnegative Perron vector by Lanczos.
+) -> tuple[float, np.ndarray, float]:
+    """Top eigenvalue, nonnegative Perron vector and eigen-residual by Lanczos.
 
     ARPACK's implicitly restarted Lanczos (``eigsh``, which="LA") runs on
     ``G.matvec`` from the indicator of the non-isolated vertices, with a
@@ -137,18 +140,9 @@ def perron_pair(
     pair must pass ||M v - λ v|| <= 10 * tol * λ * ||v||, where λ is the
     Rayleigh quotient of v, or `PowerIterationError` is raised.
 
-    Returns (λ1, nonnegative vector on the full vertex set; isolated
-    vertices carry zero).
+    Returns (λ1, nonnegative vector on the full vertex set with isolated
+    vertices at zero, the residual ||M v - λ v|| / ||v|| that certified it).
     """
-    lam, v, _ = _certified_perron(G, tol, max_iter)
-    return lam, v
-
-
-def _certified_perron(
-    G: AntipodalGraph, tol: float, max_iter: int
-) -> tuple[float, np.ndarray, float]:
-    """`perron_pair`'s (λ, v) and the residual ||M v - λ v|| / ||v|| that
-    certified it."""
     _require_edges(G)
     _check_solver_args(tol, max_iter)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -205,8 +199,7 @@ def lambda1(
 
     Computed by `perron_pair` (Lanczos); ``max_iter`` is a budget on matvecs.
     """
-    lam, _ = perron_pair(G, tol, max_iter)
-    return lam
+    return perron_pair(G, tol, max_iter)[0]
 
 
 def lambda1_bracket(
@@ -224,13 +217,15 @@ def lambda1_bracket(
     the rounding of the products, so on a graph whose v is exact (a regular
     graph, say) lower may exceed upper by a few ulps.
     """
-    lower, v, residual = _certified_perron(G, tol, max_iter)
+    lower, v, residual = perron_pair(G, tol, max_iter)
     upper = collatz_wielandt_bound(G, np.maximum(v, np.finfo(np.float64).tiny))
     return lower, upper, residual
 
 
 def collatz_wielandt_bound(G: AntipodalGraph, x: np.ndarray) -> float:
-    """max_i (Mx)_i / x_i over non-isolated i, for strictly positive x there.
+    """max_i (Mx)_i / x_i over non-isolated i, for finite x that is strictly
+    positive there (a non-finite entry anywhere spoils the prefix sums of
+    ``G.matvec``).
 
     For nonnegative M this dominates λ1(M) for every admissible x; the
     package's standard certificate is x_i = sqrt(d_i).
@@ -240,8 +235,8 @@ def collatz_wielandt_bound(G: AntipodalGraph, x: np.ndarray) -> float:
     if x.shape != (G.k,):
         raise ValueError(f"x must have shape ({G.k},)")
     live = _nonisolated(G)
-    if (x[live] <= 0.0).any():
-        raise ValueError("x must be strictly positive on non-isolated vertices")
+    if not (np.isfinite(x).all() and (x[live] > 0.0).all()):
+        raise ValueError("x must be finite, and strictly positive on non-isolated vertices")
     mx = G.matvec(x)
     return float((mx[live] / x[live]).max())
 

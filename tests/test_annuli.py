@@ -11,6 +11,7 @@ from antipodal import (
     spans,
     thickened_cover_count,
 )
+from antipodal import kernels
 from antipodal.annuli import occupancy_grid
 
 from oracles import two_circle_upper
@@ -106,6 +107,24 @@ def test_cover_frozen_values():
     assert cover_count(AnnulusPairConfig(d=0.5, epsilon=0.01)) == 18
     assert cover_count(AnnulusPairConfig(d=0.25, epsilon=0.01)) == 32
     assert cover_count(AnnulusPairConfig(d=1.0, epsilon=0.001)) == 10
+
+
+@pytest.mark.parametrize("res", [0, -3, 2.9, 8.0, True], ids=["0", "-3", "2.9", "8.0", "True"])
+def test_resolution_must_be_an_integer_at_least_one(res):
+    """A resolution of 0 or below counted 0 cells, and 2.9 counted at 2."""
+    cfg = AnnulusPairConfig(0.5, 0.01)
+    for count in (lambda: cover_count(cfg, res), lambda: occupancy_grid(cfg, res),
+                  lambda: thickened_cover_count(0.5, 0.01, res),
+                  lambda: kernels.annuli_occupancy_grid(0.5, 0.99, 1.0, 0.005, -1, 1, 0, 1, res)):
+        with pytest.raises(ValueError, match="resolution"):
+            count()
+
+
+def test_integer_resolutions_still_count():
+    cfg = AnnulusPairConfig(0.5, 0.01)
+    assert cover_count(cfg, 8) == cover_count(cfg, np.int64(8)) == 18
+    assert cover_count(cfg, 1) >= 1
+    assert thickened_cover_count(0.5, 0.01, 8) == 102
 
 
 def test_cover_stable_under_epsilon_doubling():

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
-    Box,
     IsolatedVertexError,
-    Point,
-    box_max_distance,
-    box_min_distance,
     build_graph,
     circle_config,
     common_neighbors,
@@ -20,7 +16,7 @@ from antipodal import (
     neighborhood_degree_sum,
     tail_counts,
 )
-from antipodal.boundary import common_neighbor_row, max_scaled_tail
+from antipodal.boundary import _box_gap, common_neighbor_row, max_scaled_tail
 from antipodal.geometry import PointSet, distance_to_boundary
 from conftest import complete_graph, random_graph, star_graph
 
@@ -79,35 +75,19 @@ def test_discretize_rejects_coarse_epsilon():
 # box distances
 # ---------------------------------------------------------------------------
 
-def test_box_max_distance_identical_box():
-    b = Box(Point(0.2, -0.1), 0.04)
-    assert box_max_distance(b, b) == pytest.approx(0.04 * math.sqrt(2), rel=1e-12)
-
-
-def test_box_max_distance_unit_separated():
-    a = Box(Point(0.0, 0.0), 0.05)
-    b = Box(Point(1.0, 0.0), 0.05)
-    assert box_max_distance(a, b) == pytest.approx(
-        math.hypot(1.05, 0.05), rel=1e-12
-    )
-
-
 @given(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1),
     st.floats(0.001, 0.2), st.floats(0.001, 0.2),
 )
 @settings(max_examples=80, deadline=None)
 def test_box_distances_vs_corner_oracle(ax, ay, bx, by, sa, sb):
-    a = Box(Point(ax, ay), sa)
-    b = Box(Point(bx, by), sb)
-    assert box_max_distance(a, b) == box_max_distance(b, a)
     oracle = box_max_distance_brute((ax, ay, sa), (bx, by, sb))
-    assert box_max_distance(a, b) == pytest.approx(oracle, abs=1e-12)
     # closed form used by the adjacency kernel
     h = (sa + sb) / 2
     closed = math.hypot(abs(ax - bx) + h, abs(ay - by) + h)
     assert closed == pytest.approx(oracle, abs=1e-12)
-    assert box_min_distance(a, b) <= box_max_distance(a, b)
+    # the near sets' min distance
+    assert _box_gap(abs(ax - bx), abs(ay - by), h) <= closed
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +191,32 @@ def test_common_neighbors_edge_cases():
         assert common_neighbors(gk, i, j) == 5
     with pytest.raises(ValueError):
         common_neighbors(g, 3, 3)
+
+
+VERTEX_CALLS = {
+    "neighbors": lambda boxing, g, i: g.neighbors(i),
+    "common_neighbors": lambda boxing, g, i: common_neighbors(g, i, 3),
+    "common_neighbors_second": lambda boxing, g, i: common_neighbors(g, 3, i),
+    "common_neighbor_row": lambda boxing, g, i: common_neighbor_row(g, i),
+    "tail_counts": lambda boxing, g, i: tail_counts(g, i, np.empty(0, np.int64)),
+    "neighborhood_degree_sum": lambda boxing, g, i: neighborhood_degree_sum(g, i),
+    "near_set_W": lambda boxing, g, i: near_set_W(boxing, i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_CALLS))
+def test_vertex_out_of_range_raises(name):
+    """-1 and k are not vertices: each raises IndexError naming i and k
+    instead of wrapping to vertex k - 1 (or reading an empty row)."""
+    boxing = discretize_boundary(convex_hull(circle_config(400)), 1 / 32)
+    g = build_graph(boxing)
+    assert g.k == 202
+    call = VERTEX_CALLS[name]
+    for i in (-1, g.k):
+        with pytest.raises(IndexError, match=rf"vertex {i} .* 202 vertices"):
+            call(boxing, g, i)
+    call(boxing, g, g.k - 1)
+    assert common_neighbors(g, g.k - 1, 3) == 38
 
 
 def test_common_neighbors_matches_naive_oracle(circle64):

@@ -182,7 +182,7 @@ def _assert_graph_bounds_hold(cx, cy, side, eps, size=32, bounds=None):
     inside `kernels._chord_bounds` of their two chunks of `size` consecutive
     centres, both sides; `bounds` stands in for `_chord_bounds`."""
     starts = np.arange(0, cx.shape[0], size)
-    chunks = kernels._chord_chunks(cx, cy, starts, side, (1.0 - eps) * (1.0 - eps))
+    chunks = kernels._chord_chunks(cx, cy, size, side, (1.0 - eps) * (1.0 - eps))
     assert chunks is not None
     m = starts.shape[0]
     a, b = np.divmod(np.arange(m * m), m)

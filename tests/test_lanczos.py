@@ -45,7 +45,7 @@ graphs = st.builds(_embed, _base_graphs(), st.integers(0, 12), st.integers(0, 10
 @given(graphs)
 @settings(max_examples=120, deadline=None)
 def test_lanczos_matches_power_iteration_oracle(g):
-    lam, v = perron_pair(g)
+    lam, v, _ = perron_pair(g)
     ref, _ = power_iteration(g)
     assert lam == pytest.approx(ref, rel=1e-9)
     assert lambda1(g) == lam

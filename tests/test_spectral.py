@@ -21,7 +21,7 @@ from antipodal import (
     sqrt_degree_bound,
     trace_bound,
 )
-from antipodal.spectral import sqrt_degree_certificate
+from antipodal.spectral import DEFAULT_MAX_ITER, perron_pair, sqrt_degree_certificate
 from conftest import complete_graph, cycle_graph, random_graph, star_graph
 
 
@@ -166,6 +166,39 @@ def test_power_iteration_argument_validation():
         lambda1(g, tol=0.0)
     with pytest.raises(ValueError):
         lambda1(g, max_iter=0)
+
+
+@pytest.mark.parametrize("solver", [lambda1, lambda1_bracket, perron_pair, power_iteration])
+@pytest.mark.parametrize("bad", [{"max_iter": 3.5}, {"max_iter": 3.0}, {"max_iter": True},
+                                 {"tol": math.inf}, {"tol": math.nan}],
+                         ids=["iter3.5", "iter3.0", "iterTrue", "tolinf", "tolnan"])
+def test_solver_rejects_bad_arguments(solver, bad):
+    """max_iter is an integer >= 1 and tol finite and positive: a fractional
+    budget never meets the matvec count, and tol = inf certifies nothing."""
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        solver(random_graph(60, 0.2, seed=5), **bad)
+
+
+def test_numpy_integer_budget_is_accepted():
+    g = random_graph(60, 0.2, seed=5)
+    assert lambda1(g, max_iter=np.int64(DEFAULT_MAX_ITER)) == lambda1(g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cw_rejects_nonfinite_x(bad):
+    g = complete_graph(4)
+    x = np.ones(4)
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        collatz_wielandt_bound(g, x)
+    # on an isolated vertex too: the prefix sums of the product carry it
+    g = AntipodalGraph.from_dense(np.pad(np.ones((3, 3), np.uint8) - np.eye(3, dtype=np.uint8),
+                                         ((0, 1), (0, 1))))
+    x = np.ones(4)
+    assert collatz_wielandt_bound(g, x) == 2.0
+    x[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        collatz_wielandt_bound(g, x)
 
 
 # relative rounding allowed at either end of the bracket
