@@ -205,15 +205,25 @@ def build_graph(boxing: BoundaryBoxing) -> AntipodalGraph:
     return AntipodalGraph(k=boxing.k, row=row, lo=lo, hi=hi)
 
 
+def _near_radius(boxing: BoundaryBoxing, factor: float) -> float:
+    """r = factor·ε of the near sets; ValueError when it is NaN."""
+    r = factor * boxing.epsilon
+    if math.isnan(r):
+        raise ValueError(f"near-set factor must be a number, got {factor!r}")
+    return r
+
+
 def near_set_W(boxing: BoundaryBoxing, i: int, factor: float = 100.0) -> np.ndarray:
     """Vertices whose box lies within min-distance factor*ε of box i.
 
-    The threshold is inclusive, so i itself is always a member.
+    The threshold is inclusive, so i itself is always a member unless the
+    factor is negative, which makes W empty; a NaN factor raises ValueError.
     """
     i = _vertex(i, boxing.k)
+    r = _near_radius(boxing, factor)
     c = boxing.centers
     gap = _box_gap(np.abs(c[:, 0] - c[i, 0]), np.abs(c[:, 1] - c[i, 1]), boxing.side)
-    return np.nonzero(gap <= factor * boxing.epsilon)[0]
+    return np.nonzero(gap <= r)[0]
 
 
 def _box_gap(ax, ay, side: float):
@@ -230,10 +240,10 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     r = factor·ε: a chunk pair is all far when its lower gap bounds give
     gx² + gy² > r²(1 + _SLACK) and all near when its upper ones give
     < r²(1 - _SLACK), and only the others are evaluated with the `near_set_W`
-    expression.  For r < 0 every near set is empty.
+    expression.  For r < 0 every near set is empty; a NaN r raises ValueError.
     """
-    r = factor * boxing.epsilon
-    if not r >= 0.0:
+    r = _near_radius(boxing, factor)
+    if r < 0.0:
         none = np.empty(0, np.int64)
         return none, none, none
     r2 = r * r
@@ -279,11 +289,17 @@ def tail_counts(G: AntipodalGraph, i: int, W: np.ndarray) -> np.ndarray:
     """T_s = #{j in V \\ W : |N(i) & N(j)| >= s} for s = 1..k.
 
     sum(T_s) over s equals the direct sum of common-neighbor counts over
-    V \\ W (layer-cake identity).
+    V \\ W (layer-cake identity).  W must hold integer vertex ids 0 <= w < k.
     """
+    W = np.asarray(W)
+    if W.size and W.dtype.kind not in "iu":
+        raise ValueError(f"W must hold integer vertex ids, got dtype {W.dtype}")
+    out = W[(W < 0) | (W >= G.k)]
+    if out.size:
+        raise IndexError(f"W entry {out[0]} out of range for {G.k} vertices")
     counts = common_neighbor_row(G, i)
     mask = np.ones(G.k, dtype=bool)
-    mask[np.asarray(W, dtype=np.int64)] = False
+    mask[W.astype(np.int64)] = False
     vals = counts[mask]
     hist = np.bincount(vals, minlength=G.k + 1)
     # T_s = number of vals >= s; hist[0] never contributes
@@ -299,7 +315,7 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
     return int(G.neighborhood_degree_sums[i])
 
 
-def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
+def _far_segments(G: AntipodalGraph, near, i0: int, i1: int):
     """Rows i0 .. i1 - 1 of A·A outside the near sets, as segments
     (row - i0, count, length) of consecutive j with one count > 0, in row
     order.
@@ -311,10 +327,6 @@ def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
     with a count > 0, and there it is the count.  The runs are sorted by
     row, so the runs of the neighbors lo .. hi - 1 of a graph run are the
     run indices run_ptr[lo] .. run_ptr[hi] - 1, one range per graph run.
-    The sweep writes into `work`, three int64 arrays and one bool array of
-    at least the block's event count, so that no block allocates (and
-    faults in) its own: without them, `graph-stats` on the 10 000-point
-    circle at ε = 1/16384 took 27-30 s instead of 18-22 s (2 vCPUs).
     """
     k = G.k
     ptr = G.run_ptr
@@ -330,19 +342,15 @@ def _far_segments(G: AntipodalGraph, near, i0: int, i1: int, work):
     steps = np.array([-1, 1, k + 1, -(k + 1)])
     parts = [(base + G.hi[runs]) * 4, (base + G.lo[runs]) * 4 + 1,
              (nbase + nhi[n]) * 4 + 2, (nbase + nlo[n]) * 4 + 3]
-    e = sum(part.shape[0] for part in parts)
-    events, count, length, far = (w[:e] for w in work)
-    np.concatenate(parts, out=events)
+    events = np.concatenate(parts)
     events.sort()
-    kind = np.bitwise_and(events, 3, out=length)
-    np.cumsum(np.take(steps, kind, out=count), out=count)
-    key = np.right_shift(events, 2, out=events)
-    np.subtract(key[1:], key[:-1], out=length[:-1])
+    count = np.cumsum(steps[events & 3])[:-1]
+    key = events >> 2
+    length = np.diff(key)
     # a row's events end with the sum back at 0, so a far segment never
     # crosses into the next row
-    far = np.greater(count[:-1], 0, out=far[:-1])
-    far &= length[:-1] > 0
-    return key[:-1][far] // (k + 1), count[:-1][far], length[:-1][far]
+    far = (count > 0) & (length > 0)
+    return key[:-1][far] // (k + 1), count[far], length[far]
 
 
 def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
@@ -361,9 +369,7 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
 
     Row i sweeps two events per run of each m in N(i) and two per near run
     of i, so blocks are cut on the running sum of those event counts to hold
-    at most ``kernels._per_block()`` events (a one-row block may hold more):
-    a block keeps about six int64 words per event, three work arrays and three
-    of temporaries.
+    at most ``kernels._per_block()`` events (a one-row block may hold more).
     """
     if boxing.k != G.k:
         raise ValueError(f"boxing has {boxing.k} boxes but the graph has {G.k} vertices")
@@ -374,14 +380,12 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
     bound = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), out=bound[1:])
     budget = kernels._per_block()
-    size = max(budget, int(np.diff(bound).max()))
-    work = [np.empty(size, np.int64) for _ in range(3)] + [np.empty(size, bool)]
     best = 0
     i0 = 0
     while i0 < k:
         i1 = int(np.searchsorted(bound, bound[i0] + budget, side="right")) - 1
         i1 = max(i0 + 1, min(i1, k))
-        row, count, length = _far_segments(G, near, i0, i1, work)
+        row, count, length = _far_segments(G, near, i0, i1)
         # by row, then by count from the largest down (0 < count <= k); the
         # rows come in order, so the sort moves segments within rows only
         order = np.argsort(row * (k + 1) + (k - count), kind="stable")

@@ -39,23 +39,28 @@ import numbers
 
 import numpy as np
 
-# the block budget of every chunked loop (`_per_block`): the temporaries of a
-# block hold _BLOCK_ELEMS elements in all, 8 MB of float64, which bounds the
-# loops' peak memory at a few tens of MB.  An item (a chunk row, chunk pair,
-# window pair or tail event) keeps _TEMPS temporaries of its width unless its
-# loop says otherwise
+# the block budget of every chunked loop (`_per_block`): an item (a chunk
+# row, chunk pair, window pair or tail event) keeps _TEMPS temporaries of its
+# width, and a block's temporaries hold _BLOCK_ELEMS elements in all, 8 MB of
+# float64, which bounds the loops' peak memory at a few tens of MB.  glibc
+# maps, faults in and unmaps each ~0.5 MB temporary anew until a larger mapped
+# block is freed, which raises its mmap threshold to that size and its trim
+# threshold to twice that, up to 32 MiB (mallopt(3)): the untouched 16 MB
+# array made and dropped here keeps them on the heap whatever ran before
+# (elsewhere it does nothing)
 _BLOCK_ELEMS = 1_000_000
 _TEMPS = 16
+np.empty(2 * _BLOCK_ELEMS)
 # points per chunk of the pair counts, the diameter and the near sets
 _CHUNK = 16
 # boxes per chunk of the box graph
 _GRAPH_CHUNK = 32
 
 
-def _per_block(width=1, temps=_TEMPS):
-    """How many items one block holds, at least 1, when each keeps `temps`
+def _per_block(width=1):
+    """How many items one block holds, at least 1, when each keeps _TEMPS
     temporaries of `width` elements."""
-    return max(1, _BLOCK_ELEMS // temps // max(width, 1))
+    return max(1, _BLOCK_ELEMS // _TEMPS // max(width, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +338,9 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         count[(num > 0.0) & (cosine > 1.0)] = 0
     ends = np.zeros(m + 1, np.int64)
     np.cumsum(count, out=ends[1:])
-    # a window pair's bounds make some sixty temporaries, and an evaluated
-    # chunk pair keeps two, d2 and dy
-    budget = _per_block(temps=64)
-    block = _per_block(_CHUNK * _CHUNK, temps=2)
+    # a window pair's bounds make some sixty temporaries, four items' worth
+    budget = _per_block(4)
+    block = _per_block(_CHUNK * _CHUNK)
     a0 = 0
     while a0 < m:
         a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + budget, side="right")) - 1)

@@ -16,7 +16,7 @@ from antipodal import (
     neighborhood_degree_sum,
     tail_counts,
 )
-from antipodal.boundary import _box_gap, common_neighbor_row, max_scaled_tail
+from antipodal.boundary import _box_gap, common_neighbor_row, max_scaled_tail, near_runs
 from antipodal.geometry import PointSet, distance_to_boundary
 from conftest import complete_graph, random_graph, star_graph
 
@@ -217,6 +217,47 @@ def test_vertex_out_of_range_raises(name):
             call(boxing, g, i)
     call(boxing, g, g.k - 1)
     assert common_neighbors(g, g.k - 1, 3) == 38
+
+
+@pytest.fixture(scope="module")
+def circle400():
+    boxing = discretize_boundary(convex_hull(circle_config(400)), 1 / 32)
+    return boxing, build_graph(boxing)
+
+
+@pytest.mark.parametrize("w", [-1, 202])
+def test_tail_counts_rejects_a_w_entry_out_of_range(circle400, w):
+    """-1 would wrap to vertex k - 1 (a sum of 1,724 where an empty W gives
+    1,766) and k would raise NumPy's bare IndexError: both name w and k."""
+    boxing, g = circle400
+    assert g.k == 202
+    assert int(tail_counts(g, 0, []).sum()) == 1766
+    assert int(tail_counts(g, 0, [201]).sum()) == 1724
+    with pytest.raises(IndexError, match=rf"W entry {w} .* 202 vertices"):
+        tail_counts(g, 0, [3, w])
+
+
+@pytest.mark.parametrize("W", [[0.5], np.array([3.0]), np.array([True, False])])
+def test_tail_counts_rejects_non_integer_w(circle400, W):
+    """0.5 would truncate to vertex 0, and a boolean mask would read as
+    vertices 0 and 1."""
+    boxing, g = circle400
+    with pytest.raises(ValueError, match="integer vertex ids"):
+        tail_counts(g, 0, W)
+
+
+def test_nan_factor_raises_and_negative_factor_empties_w(circle400):
+    """A NaN factor once read as an empty W, below even vertex i itself, and
+    `max_scaled_tail` returned its value at factor -1."""
+    boxing, g = circle400
+    calls = [lambda f: near_set_W(boxing, 0, f), lambda f: near_runs(boxing, f),
+             lambda f: max_scaled_tail(boxing, g, f)]
+    for call in calls:
+        with pytest.raises(ValueError, match="factor must be a number, got nan"):
+            call(math.nan)
+    assert near_set_W(boxing, 0, -1.0).size == 0
+    assert all(r.size == 0 for r in near_runs(boxing, -1.0))
+    assert max_scaled_tail(boxing, g, -1.0) == 4.574257425742574
 
 
 def test_common_neighbors_matches_naive_oracle(circle64):

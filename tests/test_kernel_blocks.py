@@ -1,11 +1,18 @@
 """The row-block size of the NumPy kernels caps their temporaries only: any
 block size gives the same integers and floats.  The block sizes below change
 how many chunks and chunk pairs a block holds, from one up; the chunk sizes
-themselves are fixed."""
+themselves are fixed.  A repeated call does not fault its blocks'
+temporaries in anew, whatever ran before it."""
+
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import antipodal
 from antipodal import (
     AntipodalGraph,
     circle_config,
@@ -97,3 +104,38 @@ def test_near_runs_are_joined_one_row_block_at_a_time(joins):
     for i in range(boxing.k):
         r = slice(ptr[i], ptr[i + 1])
         assert np.array_equal(kernels.expand_runs(lo[r], hi[r]), near_set_W(boxing, i, 3.0))
+
+
+_FAULT_PROBE = """
+import resource
+from antipodal import build_graph, circle_config, convex_hull, discretize_boundary
+from antipodal.boundary import max_scaled_tail
+
+def second_call_faults(call):
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+boxing = discretize_boundary(convex_hull(circle_config(4000)), 1 / 4096)
+print(second_call_faults(lambda: build_graph(boxing)))
+g = build_graph(boxing)
+print(second_call_faults(lambda: max_scaled_tail(boxing, g)))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="probes glibc's malloc")
+def test_repeated_calls_do_not_fault_their_blocks_in_anew():
+    """The second `build_graph` and the second `max_scaled_tail` on the hull of
+    circle_config(4000) at 1/4096 (k = 25,736), in a fresh interpreter with no
+    MALLOC_* variables, each take fewer than 2,000 minor page faults.  Without
+    the 16 MB array that `kernels` makes and drops at import, glibc maps and
+    unmaps every block's temporaries, and these calls take 6,971-12,714 and
+    85,313-98,459 faults on a 2-vCPU Linux VM: this test fails there."""
+    src = str(Path(antipodal.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          timeout=120, check=True)
+    graph_faults, tail_faults = map(int, done.stdout.split())
+    assert graph_faults < 2000
+    assert tail_faults < 2000

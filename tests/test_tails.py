@@ -202,8 +202,8 @@ def _far_segment_rows(boxing, g, factor, block_elems):
     calls = []
     sweep = boundary._far_segments
 
-    def spy(G, near, i0, i1, work):
-        out = sweep(G, near, i0, i1, work)
+    def spy(G, near, i0, i1):
+        out = sweep(G, near, i0, i1)
         calls.append((i0, i1) + out)
         return out
 
