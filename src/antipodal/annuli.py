@@ -7,8 +7,9 @@ is two mirror-image curvilinear quadrilaterals; all operations here work on
 the upper one.  The region is represented implicitly by the membership
 predicate "inside both annuli" plus its four corner vertices; a cover counts
 the ε/2 cells with an interior sample point inside both annuli (res x res
-samples per cell), rather than clipping arc polygons.  `kernels` finds each
-sample column's inside samples by bisection, since they form one run.
+samples per cell), rather than clipping arc polygons.  Each sample column's
+inside samples form one run of rows; `kernels` guesses the run's ends with
+`np.searchsorted` and certifies them with the membership expressions.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ curved boundary, where the near-maximal pairs lie.  The maximum is the
 brute-force float bit for bit.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
-inside samples form one run of sample rows, found by bisection with the
+inside samples form one run of sample rows.  `np.searchsorted` guesses the
+run's ends, and each guess is certified, or walked to the right row, by the
 membership expressions the full res x res evaluation would use, so the grid
 equals that evaluation cell for cell.
 
@@ -612,37 +613,49 @@ def box_adjacency_csr(cx, cy, side: float, epsilon: float):
 # and b2 = xb*xb + y*y, ri2 <= a2 <= ro2 and ri2 <= b2 <= ro2.
 #
 # The inside samples of a sample column x form one run of sample rows per sign
-# of y, so each column is bisected instead of evaluated at every row.  Why: the
-# sample ordinates ys do not decrease with the sample-row index (rounding is
-# monotone), so the rows with y < 0 come first.  Over the rows with y >= 0,
-# fl(y*y) does not decrease, and neither does fl(xa2 + y2) for a fixed xa2; so
-# "a2 >= ri2 and b2 >= ri2" holds on a suffix of those rows and
+# of y, so only the ends of each column's run are found.  Why: the sample
+# ordinates ys do not decrease with the sample-row index (rounding is monotone
+# and the pitch is > 0), so the rows with y < 0 come first.  Over the rows with
+# y >= 0, fl(y*y) does not decrease, and neither does fl(xa2 + y2) for a fixed
+# xa2; so "a2 >= ri2 and b2 >= ri2" holds on a suffix of those rows and
 # "a2 <= ro2 and b2 <= ro2" on a prefix, and the inside samples are one run
 # [lo, hi), possibly empty.  The rows with y < 0 (only when iy0 < 0) form a
 # second such segment once read in reverse, since fl((-y)*(-y)) == fl(y*y).
-# The bisection evaluates the same expressions, so the grid equals the full
-# res x res evaluation bit for bit.
+# `_first_rows` certifies each end with its expression, so the grid equals the
+# full res x res evaluation bit for bit.
 
-def _first_true(pred, n, m):
-    """Per column, the first of the n rows where the monotone pred(rows) holds
-    (false on a prefix, true on the rest), or n if it never does; m columns."""
-    lo = np.zeros(m, np.int64)
-    hi = np.full(m, n, np.int64)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        active = lo < hi
-        hit = pred(np.minimum(mid, n - 1))
-        hi = np.where(active & hit, mid, hi)
-        lo = np.where(active & ~hit, mid + 1, lo)
-    return lo
+def _first_rows(seg, c, r, side):
+    """For each entry of c, the first row t of the non-decreasing seg where
+    c + seg[t] >= r (side "left") or c + seg[t] > r (side "right"), or
+    seg.shape[0] where none is.
+
+    The guess searchsorted(seg, r - c) can be a row off, since fl(c + s) >= r
+    and s >= fl(r - c) differ at rounding ties; each guess then walks one row
+    per round until the expression is false at t - 1 and true at t."""
+    n = seg.shape[0]
+    hit = np.greater_equal if side == "left" else np.greater
+    t = np.searchsorted(seg, r - c, side)
+    while n:
+        # by monotonicity at most one of up, down holds
+        up = (t < n) & ~hit(c + seg[np.minimum(t, n - 1)], r)
+        down = (t > 0) & hit(c + seg[np.maximum(t - 1, 0)], r)
+        if not (up | down).any():
+            break
+        t += up
+        t -= down
+    return t
 
 
 def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
     """Boolean occupancy grid of the annuli intersection over the cell window;
-    ValueError when res is not an integer >= 1, or when an index is too large
-    for exact sample coordinates."""
+    ValueError when res is not an integer >= 1, when the pitch is not finite
+    and > 0 or d or a radius is NaN, or when an index is too large for exact
+    sample coordinates."""
     if isinstance(res, bool) or not isinstance(res, numbers.Integral) or res < 1:
         raise ValueError(f"resolution must be an integer >= 1, got {res!r}")
+    if not 0.0 < pitch < math.inf or any(map(math.isnan, (d, r_in, r_out))):
+        raise ValueError(f"pitch must be finite and > 0, got {pitch!r}, and d and "
+                         f"the radii not NaN, got {d!r}, {r_in!r}, {r_out!r}")
     ix0, ix1, iy0, iy1, res = int(ix0), int(ix1), int(iy0), int(iy1), int(res)
     if max(abs(ix0), abs(ix1), abs(iy0), abs(iy1)) * 2 * res >= 2**53:
         raise ValueError("cell window index too large for exact sample "
@@ -652,39 +665,25 @@ def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
     sub = (np.arange(res) + 0.5) / res
     xs = ((ix0 + np.arange(ncol))[:, None] + sub[None, :]).reshape(-1) * pitch
     ys = ((iy0 + np.arange(nrow))[:, None] + sub[None, :]).reshape(-1) * pitch
-    hx = 0.5 * d
-    ri2 = r_in * r_in
-    ro2 = r_out * r_out
-    xa = xs + hx
-    xb = xs - hx
-    xa2 = xa * xa
-    xb2 = xb * xb
+    xab = xs + np.array([[0.5 * d], [-0.5 * d]])  # rows: xa, xb
+    xab2 = xab * xab
     y2 = ys * ys
     neg = int(np.count_nonzero(ys < 0.0))
     col = np.arange(ncol * res) // res
-    starts = []
-    stops = []
+    diff = np.zeros((nrow + 1) * ncol, np.int32)
     # each segment: its sample rows in order of non-decreasing y2
     for rows in (np.arange(neg, ys.shape[0]), np.arange(neg - 1, -1, -1)):
-        n = rows.shape[0]
+        if not rows.shape[0]:
+            continue
         seg = y2[rows]
-
-        def above_inner(t):
-            return (xa2 + seg[t] >= ri2) & (xb2 + seg[t] >= ri2)
-
-        def outside_outer(t):
-            return ~((xa2 + seg[t] <= ro2) & (xb2 + seg[t] <= ro2))
-
-        lo = _first_true(above_inner, n, xs.shape[0])
-        hi = _first_true(outside_outer, n, xs.shape[0])
+        lo = _first_rows(seg, xab2, r_in * r_in, "left").max(axis=0)
+        hi = _first_rows(seg, xab2, r_out * r_out, "right").min(axis=0)
         run = lo < hi
         ends = rows[np.stack([lo[run], hi[run] - 1])] // res
-        starts.append(ends.min(axis=0) * ncol + col[run])
-        stops.append((ends.max(axis=0) + 1) * ncol + col[run])
-    diff = np.zeros((nrow + 1) * ncol, np.int32)
-    np.add.at(diff, np.concatenate(starts), 1)
-    np.add.at(diff, np.concatenate(stops), -1)
-    return np.cumsum(diff.reshape(nrow + 1, ncol), axis=0, dtype=np.int32)[:nrow] > 0
+        np.add.at(diff, ends.min(axis=0) * ncol + col[run], np.int32(1))
+        np.add.at(diff, (ends.max(axis=0) + 1) * ncol + col[run], np.int32(-1))
+    diff = diff.reshape(nrow + 1, ncol)
+    return np.cumsum(diff, axis=0, out=diff)[:nrow] > 0
 
 
 # ---------------------------------------------------------------------------

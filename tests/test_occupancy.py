@@ -1,4 +1,4 @@
-"""The bisected occupancy grid equals the full res x res sample evaluation
+"""The certified occupancy grid equals the full res x res sample evaluation
 (`oracles.occupancy_raster_brute`) cell for cell, on cover windows, on
 arbitrary windows and radii, and on windows with sample rows below y = 0;
 near the smallest admissible ε it also equals the same samples decided in
@@ -153,3 +153,107 @@ def test_small_epsilon_cover_stays_small():
         want = occupancy_raster_brute(d, r_in, r_out, pitch, a, b, iy0, iy1, res)
         assert want.any()
         assert np.array_equal(grid[:, a - ix0 : b - ix0 + 1], want)
+
+
+@pytest.mark.parametrize("pitch", [-0.005, 0.0, float("nan"), float("inf")])
+def test_pitch_must_be_finite_and_positive(pitch):
+    """At pitch -0.005 the sample ordinates fall with the row index, and the
+    window below counted 0 cells where the samples hold 18."""
+    with pytest.raises(ValueError, match="pitch"):
+        kernels.annuli_occupancy_grid(0.5, 0.99, 1.0, pitch, -12, 12, -210, -150)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_nan_center_distance_and_radii_are_refused(which):
+    """A NaN outer radius marked cells that no sample lies in."""
+    args = [0.5, 0.99, 1.0]
+    args[which] = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        kernels.annuli_occupancy_grid(*args, 0.005, -12, 12, 150, 210)
+
+
+def _first_rows_brute(seg, c, r, side):
+    hit = np.greater_equal if side == "left" else np.greater
+    return np.array([next((t for t, s in enumerate(seg) if hit(cj + s, r)), len(seg))
+                     for cj in c])
+
+
+def _check_first_rows(seg, c, r, side):
+    seg = np.asarray(seg, np.float64)
+    c = np.asarray(c, np.float64)
+    got = kernels._first_rows(seg, c, r, side)
+    assert got.tolist() == _first_rows_brute(seg, c, r, side).tolist()
+    return got - np.searchsorted(seg, r - c, side)
+
+
+def test_walk_moves_a_late_guess_down():
+    # fl(1 + 2**-53) == 1 < r, but fl(1 + 1.5 * 2**-53) == r: row 1, not 2
+    seg = [2.0**-53, 1.5 * 2.0**-53]
+    assert _check_first_rows(seg, [1.0], 1.0 + 2.0**-52, "left").tolist() == [-1]
+
+
+def test_walk_moves_an_early_guess_up():
+    # s = fl(r - c), but fl(c + s) rounds to just below r
+    r, c = 0.5218788976852041, 0.012791715885056398
+    s = r - c
+    assert s == 0.5090871818001477 and c + s < r
+    seg = [0.0, s, np.nextafter(s, 1.0), 1.0]
+    assert _check_first_rows(seg, [c], r, "left").tolist() == [1]
+
+
+def test_first_rows_at_both_ends_and_on_an_empty_segment():
+    seg = np.linspace(0.0, 1.0, 7) ** 2
+    for side in ("left", "right"):
+        assert kernels._first_rows(seg, np.array([0.0, 0.5]), 5.0, side).tolist() == [7, 7]
+        assert kernels._first_rows(seg, np.array([0.0, 0.5]), -1.0, side).tolist() == [0, 0]
+        assert kernels._first_rows(np.empty(0), np.array([0.0, 0.5]), 0.5, side).tolist() == [0, 0]
+        _check_first_rows(seg, [0.0, 0.5, 1.0], 1.0, side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_walk_on_rounding_ties(side):
+    """Segments of the few floats about fl(r - c): the walk moves guesses
+    both ways and lands on the brute-force first row."""
+    rng = np.random.default_rng(7)
+    moves = set()
+    for _ in range(200):
+        r = rng.uniform(0.25, 1.0)
+        c = rng.uniform(0.0, 0.25, 4)
+        near = [np.nextafter(r - cj, k * np.inf) for cj in c for k in (-1, 1)]
+        seg = np.unique(np.concatenate([r - c, near]))
+        moves.update(_check_first_rows(seg, c, r, side).tolist())
+    assert {-1, 1} <= moves
+
+
+def test_walk_is_short_and_live_on_the_cover_windows():
+    """Over the lattice, below-the-axis and smallest-ε windows at res 1, 3,
+    8 and 16, each guess moves at most one row (two rounds per call), and
+    some guesses do move."""
+    with recorded_windows() as windows:
+        for d, eps in LATTICE:
+            cover_count(AnnulusPairConfig(d=d, epsilon=eps))
+            if d >= 12 * eps:
+                thickened_cover_count(d, eps)
+        for d in (0.9, 1.0):
+            for eps in (0.3, 0.45, 0.49):
+                occupancy_grid(AnnulusPairConfig(d=d, epsilon=eps))
+        for eps in (3.2e-15, 5e-15, 1e-14):
+            occupancy_grid(AnnulusPairConfig(d=1.0, epsilon=eps))
+    helper = kernels._first_rows
+    moved = []
+
+    def spy(seg, c, r, side):
+        t = helper(seg, c, r, side)
+        moved.append(np.abs(t - np.searchsorted(seg, r - c, side)))
+        return t
+
+    kernels._first_rows = spy
+    try:
+        for res in (1, 3, 8, 16):
+            for args in windows:
+                if max(map(abs, args[4:8])) * 2 * res < 2**53:
+                    kernels.annuli_occupancy_grid(*args[:8], res)
+    finally:
+        kernels._first_rows = helper
+    assert max(int(m.max()) for m in moved) <= 1
+    assert sum(int(np.count_nonzero(m)) for m in moved) > 0
