@@ -236,11 +236,11 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     """The near sets as maximal runs (row, lo, hi), int64, sorted by row then
     lo: near_set_W(boxing, row, factor) is the union of its row's [lo, hi).
 
-    Built by `kernels.box_pair_runs` over chunks of `kernels._CHUNK` boxes with
-    r = factor·ε: a chunk pair is all far when its lower gap bounds give
-    gx² + gy² > r²(1 + _SLACK) and all near when its upper ones give
-    < r²(1 - _SLACK), and only the others are evaluated with the `near_set_W`
-    expression.  For r < 0 every near set is empty; a NaN r raises ValueError.
+    Built by `kernels.box_pair_runs` over chunks of `kernels._CHUNK` boxes,
+    and then their quarters, with r = factor·ε: a chunk or sub-chunk pair is
+    all far when its lower gap bounds give gx² + gy² > r²(1 + _SLACK) and all
+    near when its upper ones give < r²(1 - _SLACK), and only the sub-chunk
+    pairs that are neither are evaluated with the `near_set_W` expression.  For r < 0 every near set is empty; a NaN r raises ValueError.
     """
     r = _near_radius(boxing, factor)
     if r < 0.0:
@@ -258,7 +258,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
         gy = np.maximum(ay - side, 0.0)
         return gx * gx + gy * gy
 
-    def decide(a0, lx, ux, ly, uy):
+    def decide(level, a, b, lx, ux, ly, uy):
         return gap2(lx, ly) > far2, gap2(ux, uy) < near2
 
     def holds(ax, ay):

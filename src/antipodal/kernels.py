@@ -9,9 +9,12 @@ sort-tile-recursive order and a whole ε grid in one pass.  The box-pair
 relations (adjacency, and the near sets of `boundary`) share
 `box_pair_runs`, whose rows are maximal runs of consecutive boxes that
 expand to the k×k evaluation (`box_adjacency_csr`), joined per row block.
-The adjacency gives the chunk pairs that the box bound leaves undecided to
-a two-sided bound tight to second order (`_chord_bounds`), so along a
-convex boundary only the chunk pairs at an arc's two ends are evaluated.
+It decides chunk pairs whole, splits the undecided ones into pairs of
+quarter-chunks and decides those whole too, so that only the sub-chunk
+pairs left are evaluated.  At both levels the adjacency gives the pairs that
+the box bound leaves undecided to a two-sided bound tight to second order
+(`_chord_bounds`), so along a convex boundary only the sub-chunk pairs at an
+arc's two ends are evaluated.
 Every chunked loop, the tail of `boundary` too, takes its block size from
 one budget (`_per_block`).
 
@@ -377,13 +380,19 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
 # * the near sets of `boundary.near_runs` compare squared gaps with a slack,
 #   since their hypot (`boundary._box_gap`) is not guaranteed monotone.
 # The adjacency passes the chunk pairs these bounds leave undecided to the
-# second-order `_chord_bounds` (see the comment above `_CHORD_PAD`).  Only
-# the chunk pairs still undecided are evaluated, with the relation's own
-# expression, so the runs equal the full k x k evaluation entry for entry.
-# The order decides only how much is pruned: along a convex boundary in
-# arc-length order the adjacency evaluates 0.66 pairs per graph entry on the
-# 10 000-point circle hull at eps = 1/1024 (2.7 on a Reuleaux sample), and a
-# row holds one run of antipodes, or two where the arc wraps past box k - 1.
+# second-order `_chord_bounds` (see the comment above `_CHORD_PAD`).  The
+# chunk pairs still undecided are split into the pairs of their sub-chunks
+# (a quarter of a chunk: 8 boxes for the graph, 4 for the near sets), which
+# the same bounds decide in the same way, and only the sub-chunk pairs still
+# undecided are evaluated, with the relation's own expression, so the runs
+# equal the full k x k evaluation entry for entry.  The split pays most at
+# a corner: a chunk that straddles one fits its segment badly, and whole it
+# stays undecided against most of the opposite arc.  The order decides only
+# how much is pruned: along a convex boundary in arc-length order the
+# adjacency evaluates 0.13 pairs per graph entry on the 10 000-point circle
+# hull at eps = 1/1024 (0.65 on a Reuleaux sample; 0.66 and 2.7 without the
+# split), and a row holds one run of antipodes, or two where the arc wraps
+# past box k - 1.
 
 
 def _true_runs(mask):
@@ -394,47 +403,88 @@ def _true_runs(mask):
     return rows[0::2], pos[0::2], pos[1::2]
 
 
+def _sub_size(size):
+    """Boxes per sub-chunk of `box_pair_runs` under chunks of `size`: a
+    quarter of a chunk where 4 divides `size`, else one box, so that the
+    sub-chunks tile the chunks."""
+    return size // 4 if size % 4 == 0 else 1
+
+
+def _whole_runs(starts, stops, row, lo, hi):
+    """Run pieces (box row, lo, hi) of the chunk runs (row, lo, hi): every
+    box of chunk `row` ~ every box of chunks lo .. hi - 1."""
+    count = stops[row] - starts[row]
+    return (expand_runs(starts[row], stops[row]), np.repeat(starts[lo], count),
+            np.repeat(stops[hi - 1], count))
+
+
 def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     """Maximal runs (row, lo, hi) of a box-pair relation, int64, sorted by row
     then lo: row ~ j for lo <= j < hi.
 
-    The boxes are cut into chunks of `size`.  ``decide(a0, lx, ux, ly, uy)``
-    takes bounds on |dx| and |dy| over every pair of each chunk pair, for the
-    chunk rows from a0 on against every chunk column, and returns boolean
-    arrays (none, every); only the other chunk pairs are evaluated, with
-    ``holds(|dx|, |dy|)``, which must be False on the NaN box that pads the
-    last chunk.  Both may overwrite their arguments.  With loops=False,
-    i ~ i is dropped.  Each row block joins its own run pieces.
+    The boxes are cut into chunks of `size`, and each chunk into sub-chunks
+    of `_sub_size(size)`.  ``decide(level, a, b, lx, ux, ly, uy)`` takes the
+    flat indices a and b of chunks (level 0) or sub-chunks (level 1),
+    broadcast against each other, and bounds on |dx| and |dy| over every
+    pair of each pair (a, b), and returns boolean arrays (none, every).  The
+    chunk pairs that level 0 leaves undecided are split into sub-chunk
+    pairs, and only the sub-chunk pairs that level 1 leaves undecided are
+    evaluated, with ``holds(|dx|, |dy|)``, which must be False on the NaN box
+    that pads the last chunk.  Both may overwrite their bound arguments.
+    With loops=False, i ~ i is dropped.  Each row block joins its own run
+    pieces.
     """
     starts, stops, boxes, px, py = _chunks(cx, cy, size)
-    span = np.arange(size)
-    rows_per = _per_block(starts.shape[0])
-    pairs_per = _per_block(size * size)
+    sub = _sub_size(size)
+    q = size // sub
+    sstarts, sstops = _cut(cx.shape[0], sub)
+    sboxes = _bounding_boxes(cx, cy, sstarts)
+    m, ms = starts.shape[0], sstarts.shape[0]
+    grid = np.arange(q)
+    span = np.arange(sub)
+    rows_per = _per_block(m)
+    splits_per = _per_block(q * q)
+    pairs_per = _per_block(sub * sub)
     none = np.empty(0, np.int64)
     blocks = [(none, none, none)]
-    for a0 in range(0, starts.shape[0], rows_per):
-        skip, every = decide(a0, *_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
+    for a0 in range(0, m, rows_per):
+        a = np.arange(a0, min(a0 + rows_per, m))
+        skip, every = decide(0, a[:, None], np.arange(m),
+                             *_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
         if not loops:
-            # a chunk's own pairs include i ~ i, so they are evaluated
-            own = np.arange(every.shape[0])
-            every[own, a0 + own] = False
-        # runs of chunks whose every pair holds, one per row of the row chunk
+            # a chunk's own pairs include i ~ i, so they are split
+            every[a - a0, a] = False
         ra, blo, bhi = _true_runs(every)
-        ra += a0
-        count = stops[ra] - starts[ra]
-        pieces = [(expand_runs(starts[ra], stops[ra]),
-                   np.repeat(starts[blo], count), np.repeat(stops[bhi - 1], count))]
+        pieces = [_whole_runs(starts, stops, ra + a0, blo, bhi)]
         pa, pb = np.nonzero(~(skip | every))
-        for p0 in range(0, pa.shape[0], pairs_per):
-            i0 = starts[a0 + pa[p0 : p0 + pairs_per]]
-            j0 = starts[pb[p0 : p0 + pairs_per]]
-            dx, dy = _chunk_gaps(px, py, i0, j0, size)
-            hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
+        pa += a0
+        for p0 in range(0, pa.shape[0], splits_per):
+            # the q x q sub-chunk pairs of each chunk pair, in (chunk pair,
+            # sub-row, sub-column) order; the last chunk may hold fewer
+            sa = (pa[p0 : p0 + splits_per, None] * q + grid).repeat(q)
+            sb = (pb[p0 : p0 + splits_per, None] * q + grid).repeat(q, axis=0).ravel()
+            real = (sa < ms) & (sb < ms)
+            np.minimum(sa, ms - 1, out=sa)
+            np.minimum(sb, ms - 1, out=sb)
+            sskip, severy = decide(1, sa, sb, *_gap_bounds(sboxes, sa, sb))
+            severy &= real
             if not loops:
-                hit[np.flatnonzero(i0 == j0)[:, None], span, span] = False
-            q, lo, hi = _true_runs(hit.reshape(-1, size))
-            pair, off = np.divmod(q, size)
-            pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
+                severy &= sa != sb
+            # runs of sub-chunks whose every pair holds, one per sub-row
+            r, tlo, thi = _true_runs(severy.reshape(-1, q))
+            r *= q
+            pieces.append(_whole_runs(sstarts, sstops, sa[r], sb[r + tlo], sb[r + thi - 1] + 1))
+            leaf = np.flatnonzero(~(sskip | severy) & real)
+            for f0 in range(0, leaf.shape[0], pairs_per):
+                i0 = sstarts[sa[leaf[f0 : f0 + pairs_per]]]
+                j0 = sstarts[sb[leaf[f0 : f0 + pairs_per]]]
+                dx, dy = _chunk_gaps(px, py, i0, j0, sub)
+                hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
+                if not loops:
+                    hit[np.flatnonzero(i0 == j0)[:, None], span, span] = False
+                t, lo, hi = _true_runs(hit.reshape(-1, sub))
+                pair, off = np.divmod(t, sub)
+                pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
         # a block holds every chunk pair of its rows, so its runs are final
         blocks.append(join_runs(*(np.concatenate(p) for p in zip(*pieces))))
     return tuple(np.concatenate(b) for b in zip(*blocks))
@@ -548,11 +598,13 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     of the two centres and s = `side`: the two boxes' largest distance, which
     two squares attain at corners, reaches 1 - eps.
 
-    The chunk pairs that the box bound leaves undecided go to the chord bound
-    (`_chord_bounds`), and only those it leaves undecided are evaluated."""
+    At both levels of `box_pair_runs` (chunks of _GRAPH_CHUNK boxes and
+    their quarters) the pairs that the box bound leaves undecided go to the
+    chord bound (`_chord_bounds`), and only the sub-chunk pairs that neither
+    decides are evaluated."""
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
     size = _GRAPH_CHUNK
-    chunks = _chord_chunks(cx, cy, size, side, thr2)
+    chords = [_chord_chunks(cx, cy, s, side, thr2) for s in (size, _sub_size(size))]
 
     def reach2(ax, ay):
         # (|dx| + s)**2 + (|dy| + s)**2, in place
@@ -563,13 +615,14 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
         ax += ay
         return ax
 
-    def decide(a0, lx, ux, ly, uy):
+    def decide(level, a, b, lx, ux, ly, uy):
         none, every = reach2(ux, uy) < thr2, reach2(lx, ly) >= thr2
-        if chunks is not None:
-            a, b = np.nonzero(~(none | every))
-            lo, hi = _chord_bounds(chunks, side, a + a0, b)
-            none[a, b] = hi < thr2
-            every[a, b] = lo >= thr2
+        if chords[level] is not None:
+            rest = np.nonzero(~(none | every))
+            a, b = np.broadcast_arrays(a, b)
+            lo, hi = _chord_bounds(chords[level], side, a[rest], b[rest])
+            none[rest] = hi < thr2
+            every[rest] = lo >= thr2
         return none, every
 
     def holds(ax, ay):
@@ -581,7 +634,8 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
 def join_runs(row, lo, hi):
     """Maximal runs, sorted by row then lo, from disjoint runs in any order:
     runs of one row that meet (one's hi is the next one's lo) become one."""
-    order = np.lexsort((lo, row))
+    # a row's runs are disjoint, so (row, lo) is unique and one key sorts them
+    order = np.argsort(row * (int(hi.max(initial=0)) + 1) + lo)
     row, lo, hi = row[order], lo[order], hi[order]
     # new[r]: run r starts a maximal run, and new[r + 1]: run r ends one
     new = np.ones(row.shape[0] + 1, bool)

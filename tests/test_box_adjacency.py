@@ -79,7 +79,7 @@ def test_shuffled_boxes_match_brute(boxings, hull, eps):
     _assert_matches_brute(cx, cy, boxing.side, eps)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 32])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 12, 32])
 def test_every_chunk_size_matches_brute(monkeypatch, boxings, chunk):
     boxing = boxings("reuleaux", 1 / 64)
     _with_chunk(monkeypatch, chunk)
@@ -99,7 +99,7 @@ _lattice = st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=
 
 @given(_lattice, st.lists(st.tuples(st.integers(0, 29), st.sampled_from(_TIES)),
                           max_size=10),
-       st.sampled_from([1, 2, 3, 5, 32]), st.randoms(use_true_random=False))
+       st.sampled_from([1, 2, 3, 5, 8, 12, 32]), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_lattice_ties_match_brute(base, ties, chunk, rnd):
     pts = list(base)
@@ -205,7 +205,7 @@ def _lattice_tie_set(seed):
     return rng.permutation(np.vstack([base, ties])) / 64
 
 
-@pytest.mark.parametrize("size", [1, 5, 32])
+@pytest.mark.parametrize("size", [1, 5, 8, 32])
 @pytest.mark.parametrize("eps", [1 / 64, 1 / 128])
 @pytest.mark.parametrize("hull", ["circle", "reuleaux", "random-disk"])
 def test_graph_bounds_hold_every_pair(boxings, hull, eps, size):
@@ -272,10 +272,9 @@ def test_graph_bound_stand_down_matches_brute(name, xy, side, eps):
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), side, eps)
 
 
-def test_circle_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
-    """With the chord bound, `build_graph` on the 10 000-point circle hull at
-    ε = 1/1024 evaluates 0.66 box pairs per entry of the graph; the box bound
-    alone evaluated 2.56."""
+def _evaluated_per_entry(monkeypatch, hull, eps):
+    """Box pairs that `build_graph` on `hull` at `eps` evaluates, and the
+    graph's entries (a spy on `kernels._chunk_gaps`)."""
     evaluated = []
     chunk_gaps = kernels._chunk_gaps
 
@@ -284,7 +283,60 @@ def test_circle_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
         return chunk_gaps(px, py, i0, j0, size)
 
     monkeypatch.setattr(kernels, "_chunk_gaps", spy)
-    G = build_graph(discretize_boundary(convex_hull(circle_config(10_000)), 1 / 1024))
-    nnz = int(G.degrees.sum())
+    G = build_graph(discretize_boundary(hull, eps))
+    return sum(evaluated), int(G.degrees.sum())
+
+
+def test_circle_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
+    """With the chord bound and the split into 8-box sub-chunks,
+    `build_graph` on the 10 000-point circle hull at ε = 1/1024 evaluates
+    0.13 box pairs per entry of the graph; the chord bound on whole chunks
+    alone evaluated 0.66, and the box bound alone 2.56."""
+    evaluated, nnz = _evaluated_per_entry(monkeypatch, convex_hull(circle_config(10_000)),
+                                          1 / 1024)
     assert nnz == 1_490_370
-    assert 0 < sum(evaluated) < nnz
+    assert 0 < evaluated < nnz
+
+
+def test_reuleaux_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
+    """On the 10 000-point Reuleaux hull at ε = 1/1024 the chunks that
+    straddle the three corners stay undecided against most of the opposite
+    arc; split into 8-box sub-chunks, only those at the corners are
+    evaluated: 0.65 box pairs per entry, where whole chunks took 2.74."""
+    evaluated, nnz = _evaluated_per_entry(
+        monkeypatch, convex_hull(reuleaux_boundary_config(10_000, 1)), 1 / 1024)
+    assert nnz == 310_550
+    assert 0 < evaluated < nnz
+
+
+@pytest.mark.parametrize("flip", ["none", "every"])
+def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, flip):
+    """Mutation gate for the descent: `decide` wrapped to flip its first
+    settled sub-chunk verdict off the diagonal ("none" to "every", or back)
+    gives runs that differ from brute force, so a wrong sub-chunk decision
+    cannot pass the comparisons above."""
+    boxing = discretize_boundary(convex_hull(circle_config(2000)), 1 / 256)
+    cx = boxing.centers[:, 0].copy()
+    cy = boxing.centers[:, 1].copy()
+    flipped = []
+    box_pair_runs = kernels.box_pair_runs
+
+    def spy(cx, cy, size, decide, holds, loops=True):
+        def mutant(level, a, b, *bounds):
+            none, every = decide(level, a, b, *bounds)
+            if level == 1 and not flipped:
+                a, b = np.broadcast_arrays(a, b)
+                settled = np.flatnonzero((none if flip == "none" else every) & (a != b))
+                if settled.size:
+                    p = settled[0]
+                    none[p], every[p] = every[p], none[p]
+                    flipped.append(p)
+            return none, every
+
+        return box_pair_runs(cx, cy, size, mutant, holds, loops)
+
+    monkeypatch.setattr(kernels, "box_pair_runs", spy)
+    indptr, indices = kernels.box_adjacency_csr(cx, cy, boxing.side, boxing.epsilon)
+    b_indptr, b_indices = box_adjacency_brute(cx, cy, boxing.side, boxing.epsilon)
+    assert flipped
+    assert not (np.array_equal(indptr, b_indptr) and np.array_equal(indices, b_indices))
