@@ -61,6 +61,7 @@ class BoundaryBoxing:
         c = np.ascontiguousarray(self.centers, dtype=np.float64)
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
         if self.k < 3:
             raise ValueError("boundary boxing needs at least 3 boxes")
 

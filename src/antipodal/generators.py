@@ -9,6 +9,7 @@ of (n, seed) across platforms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,14 @@ import numpy as np
 from .geometry import PointSet, _check_epsilon
 
 GENERATOR_KINDS = ("circle", "arc_center", "random_disk", "reuleaux_boundary")
+
+
+def _check_n(n, who: str) -> int:
+    """n as a point count: TypeError unless an integer, ValueError below 2."""
+    n = operator.index(n)
+    if n < 2:
+        raise ValueError(f"{who} needs n >= 2")
+    return n
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError("generators need n >= 2")
+        object.__setattr__(self, "n", _check_n(self.n, "a generator"))
         if self.kind == "arc_center" and self.epsilon is None:
             raise ValueError("arc_center requires epsilon")
         if self.kind in ("random_disk", "reuleaux_boundary") and self.seed is None:
@@ -49,8 +57,7 @@ class GeneratorSpec:
 
 def circle_config(n: int) -> PointSet:
     """n points evenly spaced on the circle of diameter 1 (radius 1/2)."""
-    if n < 2:
-        raise ValueError("circle_config needs n >= 2")
+    n = _check_n(n, "circle_config")
     t = np.arange(n, dtype=np.float64)
     ang = 2.0 * np.pi * t / n
     coords = np.column_stack([0.5 * np.cos(ang), 0.5 * np.sin(ang)])
@@ -68,8 +75,7 @@ def arc_center_config(n: int, epsilon: float) -> PointSet:
     cluster-arc pairs remain antipodal (>= 1 - eps) and all cluster pairs
     remain neighbors (<= eps).
     """
-    if n < 2:
-        raise ValueError("arc_center_config needs n >= 2")
+    n = _check_n(n, "arc_center_config")
     epsilon = _check_epsilon(epsilon)
     m = int(math.floor(math.sqrt(epsilon) * n))
     if m < 1:
@@ -100,8 +106,7 @@ def arc_center_config(n: int, epsilon: float) -> PointSet:
 
 def random_disk_config(n: int, seed: int) -> PointSet:
     """n i.i.d. uniform points in the closed disk of diameter 1."""
-    if n < 2:
-        raise ValueError("random_disk_config needs n >= 2")
+    n = _check_n(n, "random_disk_config")
     rng = np.random.default_rng(seed)
     r = 0.5 * np.sqrt(rng.random(n))
     ang = 2.0 * np.pi * rng.random(n)
@@ -122,8 +127,7 @@ def reuleaux_boundary_config(n: int, seed: int) -> PointSet:
     vertex of a unit equilateral triangle and joining the other two; total
     length pi.  The body is recentered at its centroid.
     """
-    if n < 2:
-        raise ValueError("reuleaux_boundary_config needs n >= 2")
+    n = _check_n(n, "reuleaux_boundary_config")
     rng = np.random.default_rng(seed)
     u = rng.random(n) * np.pi
     arc_idx = np.minimum((u // (np.pi / 3.0)).astype(np.int64), 2)

@@ -18,12 +18,12 @@ arc's two ends are evaluated.
 Every chunked loop, the tail of `boundary` too, takes its block size from
 one budget (`_per_block`).
 
-The maximum pairwise distance takes chunks in angle order about the
-bounding-box centre, and evaluates a chunk pair only when both the box bound
-and the law-of-cosines bound `_polar_bounds` reach a lower bound L taken from
-near-antipodal pairs; the polar bound is tight to second order along a
-curved boundary, where the near-maximal pairs lie.  The maximum is the
-brute-force float bit for bit.
+The maximum pairwise distance descends a hierarchy of groups of four over
+chunks in angle order about the bounding-box centre, only into the node pairs
+whose box bound and law-of-cosines bound (`_polar_bounds`, tight to second
+order along a curved boundary, where the near-maximal pairs lie) both reach
+the best d2 so far, at first a lower bound L taken from near-antipodal
+pairs.  The maximum is the brute-force float bit for bit.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows.  `np.searchsorted` guesses the
@@ -44,7 +44,7 @@ import numbers
 import numpy as np
 
 # the block budget of every chunked loop (`_per_block`): an item (a chunk
-# row, chunk pair, window pair or tail event) keeps _TEMPS temporaries of its
+# row, chunk pair, node pair or tail event) keeps _TEMPS temporaries of its
 # width, and a block's temporaries hold _BLOCK_ELEMS elements in all, 8 MB of
 # float64, which bounds the loops' peak memory at a few tens of MB.  glibc
 # maps, faults in and unmaps each ~0.5 MB temporary anew until a larger mapped
@@ -78,9 +78,12 @@ def _per_block(width=1):
 # on non-negative operands round monotonically too, so the computed
 # dx*dx + dy*dy lies in [fl(lx*lx + ly*ly), fl(ux*ux + uy*uy)].
 
-def _bounding_boxes(x, y, starts):
-    """(xmin, xmax, ymin, ymax) of the groups of consecutive points at `starts`."""
-    return tuple(f.reduceat(v, starts) for v in (x, y) for f in (np.minimum, np.maximum))
+def _group(boxes, starts):
+    """The boxes of the groups of consecutive items at `starts`, from the
+    items' boxes (xmin, xmax, ymin, ymax), which a polar box (rmax, tmin,
+    tmax; see `_polar_bounds`) may follow: (x, x, y, y, r, t, t) for points."""
+    reduce = (np.minimum, np.maximum) * 2 + (np.maximum, np.minimum, np.maximum)
+    return tuple(f.reduceat(v, starts) for f, v in zip(reduce, boxes))
 
 
 def _gap_upper(boxes, a, b):
@@ -133,12 +136,6 @@ def _polar_coords(xy, centre):
     return np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
 
 
-def _polar_boxes(r, t, starts):
-    """(rmax, tmin, tmax) of the groups of consecutive points at `starts`:
-    their largest distance to the centre and the range of their angles."""
-    return np.maximum.reduceat(r, starts), np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
-
-
 def _polar_bounds(boxes, a, b):
     """Padded upper bounds on d2 over every pair of a point of group a and a
     point of group b, for group indices broadcast as in `_gap_bounds`."""
@@ -168,7 +165,7 @@ def _chunks(x, y, size):
     exact bounding boxes, and x and y with the NaN point of `_chunk_gaps`
     appended."""
     starts, stops = _cut(x.shape[0], size)
-    return starts, stops, _bounding_boxes(x, y, starts), np.append(x, np.nan), np.append(y, np.nan)
+    return starts, stops, _group((x, x, y, y), starts), np.append(x, np.nan), np.append(y, np.nan)
 
 
 def _chunk_gaps(px, py, i0, j0, size):
@@ -278,28 +275,33 @@ def pair_threshold_counts(xy: np.ndarray, epsilon: float) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# maximum pairwise distance over angle-ordered chunks
+# maximum pairwise distance by a descent over a hierarchy of chunks
 # ---------------------------------------------------------------------------
-# Sorted by angle about the bounding-box centre c, a convex boundary's
+# Sorted by angle about the bounding-box centre, a convex boundary's
 # near-maximal pairs join chunks about pi apart, and `_polar_bounds` rules
-# out the rest to second order.  Each chunk a first takes a window of partner
-# chunks: the polar bound with Rb the largest radius Rmax, solved for phi.
-# Its pad _WINDOW_PAD is looser than _POLAR_PAD, so that rounding in arccos
-# and at the window's ends cannot drop a chunk pair whose polar bound reaches
-# L: where the window is not the whole circle, L > Ra**2 + Rmax**2 >= 2 Ra Rmax,
-# so the extra pad moves the cosine by at least 9e-9 and widens the window by
-# at least 9e-9 radians, far above that rounding.
+# out the rest to second order.  Each node of a level groups _FAN nodes of the
+# level below (level 0: the chunks), up to at most _TOP nodes at the top, and
+# its boxes contain its children's, so the bounds of a node pair hold for
+# every pair below it.  The descent (the dual-tree scheme of Gray and Moore,
+# NIPS 2000) splits, depth first, only node pairs whose bounds reach the best
+# d2 so far, and each block of chunk pairs evaluated can raise that best.
+_FAN = 4
+_TOP = 64
 
-# the angular window's pad (see above)
-_WINDOW_PAD = 1e-8
+
+def _split(a, b, q):
+    """The q x q child pairs of the node pairs (a, b), in (pair, child of a,
+    child of b) order: child a*q + s of a with child b*q + t of b."""
+    grid = np.arange(q)
+    return (a[:, None] * q + grid).repeat(q), (b[:, None] * q + grid).repeat(q, axis=0).ravel()
 
 
 def max_pairwise_distance_sq(xy: np.ndarray) -> float:
     """Largest d2 over all pairs, evaluated only on chunk pairs that can hold it.
 
     L, the largest d2 of each point with the two points on either side of its
-    antipodal angle, is a lower bound; a chunk pair is evaluated only when its
-    box bound and its polar bound both reach the best d2 so far, L or above.
+    antipodal angle, is a lower bound; a node pair is split, or a chunk pair
+    evaluated, only while its box and polar bounds reach the best d2 so far.
     """
     n = xy.shape[0]
     if n < 2:
@@ -309,10 +311,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
     hi = np.array([xy[:, 0].max(), xy[:, 1].max()])
     r, t = _polar_coords(xy, 0.5 * lo + 0.5 * hi)
     order = np.argsort(t)
-    x = xy[order, 0]
-    y = xy[order, 1]
-    r = r[order]
-    t = t[order]
+    x, y, r, t = xy[order, 0], xy[order, 1], r[order], t[order]
     across = np.searchsorted(t, np.where(t > 0.0, t - np.pi, t + np.pi))
     best = 0.0
     for j in (across - 1, across % n):
@@ -320,51 +319,44 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         dy = y - y[j]
         best = max(best, float((dx * dx + dy * dy).max()))
 
-    starts, _, boxes, px, py = _chunks(x, y, _CHUNK)
-    m = starts.shape[0]
-    polar = _polar_boxes(r, t, starts)
-    rad, tmin, tmax = polar
     use_polar = float((hi - lo).max()) <= _POLAR_MAX_SPAN and best >= _POLAR_MIN_L
-    # each chunk's window of partners: `count` chunks from `first` on, mod m
-    first = np.zeros(m, np.int64)
-    count = np.full(m, m)
-    if use_polar:
-        rmax = rad.max()
-        num = best * (1.0 - _WINDOW_PAD) - rad * rad - rmax * rmax
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = num / (2.0 * rad * rmax)
-            # the window reaches `half` past the chunk's angles turned by pi
-            half = np.where(num > 0.0, np.arccos(np.minimum(cosine, 1.0)), np.pi)
-        ends0 = np.concatenate([tmin - 2.0 * np.pi, tmin, tmin + 2.0 * np.pi])
-        ends1 = np.concatenate([tmax - 2.0 * np.pi, tmax, tmax + 2.0 * np.pi])
-        first = np.searchsorted(ends1, tmin + (np.pi - half))
-        count = np.clip(np.searchsorted(ends0, tmax + (np.pi + half), side="right") - first, 0, m)
-        count[(num > 0.0) & (cosine > 1.0)] = 0
-    ends = np.zeros(m + 1, np.int64)
-    np.cumsum(count, out=ends[1:])
-    # a window pair's bounds make some sixty temporaries, four items' worth
-    budget = _per_block(4)
-    block = _per_block(_CHUNK * _CHUNK)
-    a0 = 0
-    while a0 < m:
-        a1 = max(a0 + 1, int(np.searchsorted(ends, ends[a0] + budget, side="right")) - 1)
-        cnt = count[a0:a1]
-        a = np.repeat(np.arange(a0, a1), cnt)
-        b = expand_runs(first[a0:a1], first[a0:a1] + cnt) % m
-        # each kept pair is in the window of both its chunks
-        keep = a <= b
-        a, b = a[keep], b[keep]
-        ux, uy = _gap_upper(boxes, a, b)
-        keep = ux * ux + uy * uy >= best
-        a, b = a[keep], b[keep]
+    starts, _ = _cut(n, _CHUNK)
+    px, py = np.append(x, np.nan), np.append(y, np.nan)
+    # levels[l]: the boxes and polar boxes of the nodes of level l
+    levels = [_group((x, x, y, y, r, t, t), starts)]
+    while len(levels[-1][0]) > _TOP:
+        levels.append(_group(levels[-1], np.arange(0, len(levels[-1][0]), _FAN)))
+
+    def bound(level, a, b):
+        # the polar bound only where the box bound reaches the best so far
+        ux, uy = _gap_upper(levels[level][:4], a, b)
+        up = ux * ux + uy * uy
+        keep = up >= best
+        a, b, up = a[keep], b[keep], up[keep]
         if use_polar:
-            keep = _polar_bounds(polar, a, b) >= best
-            a, b = a[keep], b[keep]
-        # the best so far prunes later blocks; fmax skips the last chunk's NaNs
-        for p0 in range(0, a.shape[0], block):
-            d2 = _chunk_d2(px, py, starts[a[p0 : p0 + block]], starts[b[p0 : p0 + block]])
-            best = max(best, float(np.fmax.reduce(d2, axis=None)))
-        a0 = a1
+            np.minimum(up, _polar_bounds(levels[level][4:], a, b), out=up)
+        return level, a, b, up
+
+    top = len(levels) - 1
+    stack = [bound(top, *np.triu_indices(len(levels[top][0])))]
+    while stack:
+        # the pairs whose bounds reach the best so far, a block at a time
+        level, a, b, up = stack.pop()
+        keep = up >= best
+        a, b, up = a[keep], b[keep], up[keep]
+        per = _per_block(_FAN * _FAN if level else _CHUNK * _CHUNK)
+        if a.shape[0] > per:
+            stack.append((level, a[per:], b[per:], up[per:]))
+            a, b = a[:per], b[:per]
+        if level == 0:
+            # fmax skips the last chunk's NaN point
+            d2 = _chunk_d2(px, py, starts[a], starts[b])
+            best = float(np.fmax.reduce(d2, axis=None, initial=best))
+        else:
+            # a node's pairs with itself split into its children's pairs a <= b
+            a, b = _split(a, b, _FAN)
+            keep = (a <= b) & (b < len(levels[level - 1][0]))
+            stack.append(bound(level - 1, a[keep], b[keep]))
     return best
 
 
@@ -438,9 +430,9 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     sub = _sub_size(size)
     q = size // sub
     sstarts, sstops = _cut(cx.shape[0], sub)
-    sboxes = _bounding_boxes(cx, cy, sstarts)
+    # the sub-chunks' boxes, built at the first undecided chunk pair
+    sboxes = ()
     m, ms = starts.shape[0], sstarts.shape[0]
-    grid = np.arange(q)
     span = np.arange(sub)
     rows_per = _per_block(m)
     splits_per = _per_block(q * q)
@@ -459,10 +451,10 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
         pa, pb = np.nonzero(~(skip | every))
         pa += a0
         for p0 in range(0, pa.shape[0], splits_per):
-            # the q x q sub-chunk pairs of each chunk pair, in (chunk pair,
-            # sub-row, sub-column) order; the last chunk may hold fewer
-            sa = (pa[p0 : p0 + splits_per, None] * q + grid).repeat(q)
-            sb = (pb[p0 : p0 + splits_per, None] * q + grid).repeat(q, axis=0).ravel()
+            # the sub-chunk pairs of each chunk pair, one sub-row after
+            # another; the last chunk may hold fewer than q sub-chunks
+            sa, sb = _split(pa[p0 : p0 + splits_per], pb[p0 : p0 + splits_per], q)
+            sboxes = sboxes or _group((cx, cx, cy, cy), sstarts)
             real = (sa < ms) & (sb < ms)
             np.minimum(sa, ms - 1, out=sa)
             np.minimum(sb, ms - 1, out=sb)
@@ -604,7 +596,7 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     decides are evaluated."""
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
     size = _GRAPH_CHUNK
-    chords = [_chord_chunks(cx, cy, s, side, thr2) for s in (size, _sub_size(size))]
+    chords = {}
 
     def reach2(ax, ay):
         # (|dx| + s)**2 + (|dy| + s)**2, in place
@@ -617,6 +609,8 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
 
     def decide(level, a, b, lx, ux, ly, uy):
         none, every = reach2(ux, uy) < thr2, reach2(lx, ly) >= thr2
+        if level not in chords:  # built on the level's first call
+            chords[level] = _chord_chunks(cx, cy, (size, _sub_size(size))[level], side, thr2)
         if chords[level] is not None:
             rest = np.nonzero(~(none | every))
             a, b = np.broadcast_arrays(a, b)

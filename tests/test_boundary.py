@@ -16,7 +16,13 @@ from antipodal import (
     neighborhood_degree_sum,
     tail_counts,
 )
-from antipodal.boundary import _box_gap, common_neighbor_row, max_scaled_tail, near_runs
+from antipodal.boundary import (
+    BoundaryBoxing,
+    _box_gap,
+    common_neighbor_row,
+    max_scaled_tail,
+    near_runs,
+)
 from antipodal.geometry import PointSet, distance_to_boundary
 from conftest import complete_graph, random_graph, star_graph
 
@@ -61,6 +67,18 @@ def test_box_count_order(circle_hull):
     for eps in (0.1, 0.05, 1 / 64):
         boxing = discretize_boundary(circle_hull, eps)
         assert boxing.k <= 2 * circle_hull.perimeter / eps + 1
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -0.1, 0.7])
+def test_boxing_rejects_epsilon_outside_the_open_half_interval(epsilon):
+    """A boxing is built only at an epsilon in (0, 1/2), as
+    `discretize_boundary` requires.  On these 202 boxes NaN once gave an
+    empty graph, on which `max_scaled_tail` raised "near-set factor must be a
+    number, got 100.0", -0.1 an empty graph and a tail of 0.0, and 0.7 a
+    graph of 40,602 entries."""
+    centers = discretize_boundary(convex_hull(circle_config(400)), 1 / 32).centers
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        BoundaryBoxing(centers, epsilon)
 
 
 def test_discretize_rejects_coarse_epsilon():

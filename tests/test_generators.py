@@ -14,6 +14,7 @@ from antipodal import (
     ratio_margin,
     reuleaux_boundary_config,
 )
+from antipodal.generators import GENERATOR_KINDS
 
 
 def test_circle_two_points():
@@ -130,6 +131,37 @@ def test_generator_spec_validation():
         GeneratorSpec("arc_center", 100)  # missing epsilon
     with pytest.raises(ValueError):
         GeneratorSpec("random_disk", 100)  # missing seed
+
+
+GENERATORS = {
+    "circle": circle_config,
+    "arc_center": lambda n: arc_center_config(n, 0.04),
+    "random_disk": lambda n: random_disk_config(n, 1),
+    "reuleaux_boundary": lambda n: reuleaux_boundary_config(n, 1),
+}
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_size_must_be_an_integer_of_at_least_two(kind):
+    """circle_config(2.5) once returned 3 unevenly spaced points, and
+    GeneratorSpec("circle", 2.5) was accepted: a non-integer n raises
+    TypeError, an n below 2 ValueError, and an integer of any type is taken
+    as a Python int."""
+    knobs = {"arc_center": {"epsilon": 0.04}, "random_disk": {"seed": 1},
+             "reuleaux_boundary": {"seed": 1}}.get(kind, {})
+    for bad in (2.5, 100.0, "100", None):
+        with pytest.raises(TypeError):
+            GENERATORS[kind](bad)
+        with pytest.raises(TypeError):
+            GeneratorSpec(kind, bad, **knobs)
+    for bad in (1, 0, -3, False):
+        with pytest.raises(ValueError):
+            GENERATORS[kind](bad)
+        with pytest.raises(ValueError):
+            GeneratorSpec(kind, bad, **knobs)
+    spec = GeneratorSpec(kind, np.int64(100), **knobs)
+    assert type(spec.n) is int and spec.n == 100
+    assert make_config(spec).n == GENERATORS[kind](np.int64(100)).n == 100
 
 
 def test_make_config_dispatch():

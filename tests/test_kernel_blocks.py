@@ -38,7 +38,7 @@ def _outputs():
     assert np.array_equal(indptr, b_indptr)
     assert np.array_equal(indices, b_indices)
     counts = [kernels.pair_threshold_counts(xy, eps) for eps in (0.02, 0.1, 0.3)]
-    # the circle's windows are narrow, and on the Reuleaux boundary the best
+    # the circle keeps few node pairs, and on the Reuleaux boundary the best
     # d2 grows from block to block at small block sizes; chunks of coincident
     # points have exact bounds, so a pruning tighter than the best so far
     # drops the maximum of the last set

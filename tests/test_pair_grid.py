@@ -61,6 +61,8 @@ def test_lattice_counts_and_diameter_match_brute_force(points, epsilons):
     ps = PointSet.from_points(points)
     assert pair_counts_grid(ps, epsilons) == _brute_grid(points, epsilons)
     assert diameter(ps) == diameter_brute(points)
+    with pytest.MonkeyPatch.context() as mp:
+        assert _deep_descent(mp, ps.coords)[0] == _brute_max_d2(ps.coords)
 
 
 def test_whole_chunk_pairs_count_their_ties():
@@ -68,11 +70,15 @@ def test_whole_chunk_pairs_count_their_ties():
     the 17 x 4 lattice sites 1/16 apart in [0, 1] x [0, 3/16], about 22 on
     each, make chunks of one or two sites, with chunk pairs at exactly 1/16
     and 15/16 that are counted whole."""
-    rng = np.random.default_rng(7)
-    sites = np.column_stack([rng.integers(0, 17, 1_500), rng.integers(0, 4, 1_500)]) / 16.0
-    xy = np.vstack([sites, [(15 / 16, 0.0), (1.0, 0.0), (9 / 16, 12 / 16)]])
+    xy = _tie_sites()
     epsilons = (1 / 8, 1 / 16, 1 / 32)
     assert kernels.pair_grid_counts(xy, epsilons) == _dense_counts(xy, epsilons)
+
+
+def _tie_sites():
+    rng = np.random.default_rng(7)
+    sites = np.column_stack([rng.integers(0, 17, 1_500), rng.integers(0, 4, 1_500)]) / 16.0
+    return np.vstack([sites, [(15 / 16, 0.0), (1.0, 0.0), (9 / 16, 12 / 16)]])
 
 
 def test_exact_ties_at_both_thresholds_count():
@@ -85,26 +91,24 @@ def test_exact_ties_at_both_thresholds_count():
     assert (counts.neighbors, counts.antipodes) == (3, 5)
 
 
-@pytest.mark.parametrize(
-    "points",
-    [
-        # a single occupied cell
-        [(0.001 * i, 0.002 * (i % 3)) for i in range(12)],
-        # two points, at each threshold and between them
-        [(0.0, 0.0), (0.05, 0.0)],
-        [(0.0, 0.0), (0.0, 0.95)],
-        [(0.2, 0.3), (0.5, 0.7)],
-        # coincident points
-        [(0.25, 0.25)] * 5,
-        # collinear points
-        [(i / 40, 0.5 * i / 40) for i in range(50)],
-        [(0.0, i / 64) for i in range(70)],
-        # a set wider than 1
-        [(3.0 * math.cos(t), 0.4 * math.sin(3 * t)) for t in np.linspace(0, 6.0, 90)],
-    ],
-    ids=["one-cell", "two-near", "two-far", "two-between", "coincident",
-         "collinear-slope", "collinear-axis", "wider-than-1"],
-)
+_DEGENERATE = {
+    # a single occupied cell
+    "one-cell": [(0.001 * i, 0.002 * (i % 3)) for i in range(12)],
+    # two points, at each threshold and between them
+    "two-near": [(0.0, 0.0), (0.05, 0.0)],
+    "two-far": [(0.0, 0.0), (0.0, 0.95)],
+    "two-between": [(0.2, 0.3), (0.5, 0.7)],
+    # coincident points
+    "coincident": [(0.25, 0.25)] * 5,
+    # collinear points
+    "collinear-slope": [(i / 40, 0.5 * i / 40) for i in range(50)],
+    "collinear-axis": [(0.0, i / 64) for i in range(70)],
+    # a set wider than 1
+    "wider-than-1": [(3.0 * math.cos(t), 0.4 * math.sin(3 * t)) for t in np.linspace(0, 6.0, 90)],
+}
+
+
+@pytest.mark.parametrize("points", list(_DEGENERATE.values()), ids=list(_DEGENERATE))
 def test_small_and_degenerate_sets_match_brute_force(points):
     ps = PointSet.from_points(points)
     epsilons = [0.3, 0.1, 0.05, 0.01]
@@ -146,7 +150,7 @@ def _assert_gap_bounds_hold(x, y, starts):
     two groups."""
     group = np.repeat(np.arange(starts.shape[0]), np.diff(np.append(starts, x.shape[0])))
     lx, ux, ly, uy = (v[group][:, group] for v in kernels._gap_bounds(
-        kernels._bounding_boxes(x, y, starts), np.s_[:, None], slice(None)))
+        kernels._group((x, x, y, y), starts), np.s_[:, None], slice(None)))
     ax = np.abs(x[:, None] - x[None, :])
     ay = np.abs(y[:, None] - y[None, :])
     d2 = ax * ax + ay * ay
@@ -183,8 +187,9 @@ def _assert_polar_bounds_hold(xy, size=16):
     for order in (np.argsort(t), np.arange(xy.shape[0])):
         starts = np.arange(0, xy.shape[0], size)
         group = np.repeat(np.arange(starts.shape[0]), np.diff(np.append(starts, xy.shape[0])))
-        bound = kernels._polar_bounds(kernels._polar_boxes(r[order], t[order], starts),
-                                      group[:, None], group[None, :])
+        x, y = xy[order].T
+        boxes = kernels._group((x, x, y, y, r[order], t[order], t[order]), starts)
+        bound = kernels._polar_bounds(boxes[4:], group[:, None], group[None, :])
         ax = xy[order, 0, None] - xy[order, 0]
         ay = xy[order, 1, None] - xy[order, 1]
         assert (ax * ax + ay * ay <= bound).all()
@@ -248,6 +253,154 @@ def test_diameter_at_extreme_scales_matches_brute_force(name, xy):
     with np.errstate(over="ignore", under="ignore"):
         want = float(_dense_d2(xy).max())
         assert kernels.max_pairwise_distance_sq(xy) == want
+
+
+def _brute_max_d2(xy, rows=256):
+    """The largest d2 over all pairs by the brute-force expression
+    dx*dx + dy*dy, a block of rows at a time."""
+    best = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(0, xy.shape[0], rows):
+            dx = xy[i : i + rows, None, 0] - xy[None, :, 0]
+            dy = xy[i : i + rows, None, 1] - xy[None, :, 1]
+            best = max(best, float((dx * dx + dy * dy).max()))
+    return best
+
+
+def _deep_descent(mp, xy, chunk=1):
+    """`max_pairwise_distance_sq` with chunks of `chunk` points and a top
+    level of one node, so that it descends through every level of groups of
+    four, and the number of levels it built."""
+    built = []
+    group = kernels._group
+    mp.setattr(kernels, "_CHUNK", chunk)
+    mp.setattr(kernels, "_TOP", 1)
+    mp.setattr(kernels, "_group", lambda *args: built.append(args) or group(*args))
+    return kernels.max_pairwise_distance_sq(xy), len(built)
+
+
+def _ties_repeated():
+    return np.repeat(reuleaux_boundary_config(250, seed=5).coords, 16, axis=0)
+
+
+def _just_above_l():
+    """Six sites, 16 points on each, so that every chunk holds one site and
+    its box bound is exact.  P = (0, 0) and Q = (1, 0) are the one maximal
+    pair, at d2 = 1, and no point's neighbours about its antipodal angle pair
+    them; L is P with A, on the ray from P through the bounding-box centre
+    (0.5, 0.25), at d2 = 1 - 2**-40 to rounding."""
+    ray = np.array([0.5, 0.25]) / math.hypot(0.5, 0.25)
+    turn = math.radians(160)
+    sites = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), ray * math.sqrt(1.0 - 2.0**-40),
+             (0.5 + 0.3 * math.cos(turn), 0.25 + 0.3 * math.sin(turn)), (0.6, 0.25)]
+    return np.repeat(np.array(sites), 16, axis=0)
+
+
+def test_maximum_just_above_l_is_found():
+    """Pruning keeps every chunk pair whose bound reaches the best so far:
+    one that asks for 1e-7 relative more, at the box bound or after the
+    polar bound, returns L here."""
+    xy = _just_above_l()
+    assert kernels.max_pairwise_distance_sq(xy) == _brute_max_d2(xy) == 1.0
+
+
+def _deep_sets():
+    for name, points in _DEGENERATE.items():
+        yield f"degenerate-{name}", np.array(points, dtype=float), 1
+    for name, xy in _scaled_sets():
+        yield name, xy, 1
+    yield "tie-sites", _tie_sites(), 1
+    yield "just-above-l", _just_above_l(), 1
+    # coincident points fill whole chunks, whose bounds are exact
+    yield "ties-x16", _ties_repeated(), 1
+    yield "ties-x16-chunk16", _ties_repeated(), 16
+
+
+_DEEP_SETS = list(_deep_sets())
+
+
+@pytest.mark.parametrize("name, xy, chunk", _DEEP_SETS, ids=[n for n, _, _ in _DEEP_SETS])
+def test_deep_descent_matches_brute_force(monkeypatch, name, xy, chunk):
+    """With one node at the top, every set of five or more points descends at
+    least three levels (chunks, groups of four chunks and the top), and the
+    maximum is still the brute-force float."""
+    with np.errstate(over="ignore", under="ignore"):
+        got, levels = _deep_descent(monkeypatch, xy, chunk)
+    assert got == _brute_max_d2(xy)
+    assert levels >= 3 or -(-xy.shape[0] // chunk) <= 4
+
+
+def _reuleaux_5000(degrees=0):
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+    return reuleaux_boundary_config(5000, seed=1).coords @ np.array([[c, s], [-s, c]])
+
+
+@pytest.mark.parametrize("degrees", [0, 210])
+def test_5000_points_match_blocked_brute_force(degrees):
+    """The Reuleaux sample has one maximal pair, which L misses; turned by
+    210 degrees, one of its points is the last in the angle order."""
+    xy = _reuleaux_5000(degrees)
+    assert kernels.max_pairwise_distance_sq(xy) == _brute_max_d2(xy)
+
+
+def test_dropping_the_node_pair_of_the_maximum_changes_the_diameter(monkeypatch):
+    """A mutation check of the test above: the 5000 points make 313 chunks,
+    79 nodes at level 1 and 20 at the top, level 2.  Zeroing the box bound
+    of the level-1 node pair that holds the set's one maximal pair drops
+    that pair, and the result then differs from brute force: the lower bound
+    L does not find the maximum on this set, the descent does."""
+    xy = _reuleaux_5000()
+    want = _brute_max_d2(xy)
+    pairs = []
+    for i0 in range(0, xy.shape[0], 256):
+        dx = xy[i0 : i0 + 256, None, 0] - xy[None, :, 0]
+        dy = xy[i0 : i0 + 256, None, 1] - xy[None, :, 1]
+        i, j = np.nonzero(dx * dx + dy * dy == want)
+        pairs += [(a, b) for a, b in zip(i + i0, j) if a < b]
+    assert len(pairs) == 1
+    # the two points' level-1 nodes, in the kernel's angle order
+    centre = 0.5 * xy.min(axis=0) + 0.5 * xy.max(axis=0)
+    rank = np.argsort(np.argsort(kernels._polar_coords(xy, centre)[1]))
+    node = np.sort(rank[list(pairs[0])] // (kernels._CHUNK * kernels._FAN))
+    gap_upper = kernels._gap_upper
+    dropped = []
+
+    def drop(boxes, a, b):
+        ux, uy = gap_upper(boxes, a, b)
+        if len(boxes[0]) == 79:
+            hit = (a == node[0]) & (b == node[1])
+            ux[hit] = uy[hit] = 0.0
+            dropped.append(int(hit.sum()))
+        return ux, uy
+
+    monkeypatch.setattr(kernels, "_gap_upper", drop)
+    assert kernels.max_pairwise_distance_sq(xy) < want
+    assert sum(dropped) == 1
+
+
+def test_descent_counts_stay_linear_on_a_reuleaux_sample(monkeypatch):
+    """On reuleaux_boundary_config(10**5, 1), m = 6,250 chunks, the descent
+    bounds at most 32 m node pairs and evaluates at most 8 m chunk pairs
+    (measured: 116,749 and 27,120)."""
+    xy = reuleaux_boundary_config(10**5, seed=1).coords
+    counts = {"bounded": 0, "evaluated": 0}
+    gap_upper, chunk_d2 = kernels._gap_upper, kernels._chunk_d2
+
+    def bounded(boxes, a, b):
+        ux, uy = gap_upper(boxes, a, b)
+        counts["bounded"] += ux.size
+        return ux, uy
+
+    def evaluated(px, py, i0, j0):
+        counts["evaluated"] += i0.shape[0]
+        return chunk_d2(px, py, i0, j0)
+
+    monkeypatch.setattr(kernels, "_gap_upper", bounded)
+    monkeypatch.setattr(kernels, "_chunk_d2", evaluated)
+    kernels.max_pairwise_distance_sq(xy)
+    m = 6250
+    assert counts["bounded"] <= 32 * m
+    assert counts["evaluated"] <= 8 * m
 
 
 def test_grid_validation():
