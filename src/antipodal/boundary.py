@@ -12,7 +12,7 @@ arc-length order, so each box's antipodes form an arc, one run (two where
 the arc wraps past the last box).  Products with a vector cost O(k + runs)
 through prefix sums.  Common-neighbor counts are entries of A·A: a single
 row is A @ 1_{N(i)}.  The tail constant never forms an entry of A·A: the
-near sets W are runs too, built once by the same chunk-pair builder, and one
+near sets W are runs too, built once by the same pair descent, and one
 running sum over the sorted events of the neighbors' runs (±1) and of the
 near runs (∓(k + 1)) yields each row of A·A outside W as piecewise-constant
 segments, a block of rows at a time.  A graph run's neighbors hold one range
@@ -237,12 +237,11 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     """The near sets as maximal runs (row, lo, hi), int64, sorted by row then
     lo: near_set_W(boxing, row, factor) is the union of its row's [lo, hi).
 
-    Built by `kernels.box_pair_runs` over chunks of `kernels._CHUNK` boxes,
-    and then their quarters, with r = factor·ε: a chunk or sub-chunk pair is
-    all far when its lower gap bounds give gx² + gy² > r²(1 + _SLACK) and all
-    near when its upper ones give < r²(1 - _SLACK), and only the sub-chunk
-    pairs that are neither are evaluated with the `near_set_W` expression.  For r < 0 every near set is empty; a NaN r raises ValueError.
-    """
+    Built by `kernels.box_pair_runs` over leaves of 4 boxes, with r = factor·ε:
+    a node pair is all far when its lower gap bounds give gx² + gy² >
+    r²(1 + _SLACK), all near when its upper ones give < r²(1 - _SLACK), and
+    the leaf pairs of neither are evaluated with the `near_set_W` expression.
+    For r < 0 every near set is empty; a NaN r raises ValueError."""
     r = _near_radius(boxing, factor)
     if r < 0.0:
         none = np.empty(0, np.int64)
@@ -265,8 +264,7 @@ def near_runs(boxing: BoundaryBoxing, factor: float = 100.0):
     def holds(ax, ay):
         return _box_gap(ax, ay, side) <= r
 
-    return kernels.box_pair_runs(boxing.centers[:, 0], boxing.centers[:, 1], kernels._CHUNK,
-                                 decide, holds)
+    return kernels.box_pair_runs(boxing.centers[:, 0], boxing.centers[:, 1], 4, decide, holds)
 
 
 def common_neighbors(G: AntipodalGraph, i: int, j: int) -> int:

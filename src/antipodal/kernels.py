@@ -1,29 +1,20 @@
 """Hot numeric kernels.
 
-Three exact pair engines cut ordered points into chunks of consecutive
-points (`_chunks`).  `_gap_bounds` on the chunks' exact bounding boxes (see
-the comment above it) settles whole the chunk pairs it decides; the rest go
-through one NaN-padded gather (`_chunk_gaps`) and the brute-force
-expression, so every result equals brute force.  Pair counts take
-sort-tile-recursive order and a whole ε grid in one pass.  The box-pair
-relations (adjacency, and the near sets of `boundary`) share
-`box_pair_runs`, whose rows are maximal runs of consecutive boxes that
-expand to the k×k evaluation (`box_adjacency_csr`), joined per row block.
-It decides chunk pairs whole, splits the undecided ones into pairs of
-quarter-chunks and decides those whole too, so that only the sub-chunk
-pairs left are evaluated.  At both levels the adjacency gives the pairs that
-the box bound leaves undecided to a two-sided bound tight to second order
-(`_chord_bounds`), so along a convex boundary only the sub-chunk pairs at an
-arc's two ends are evaluated.
-Every chunked loop, the tail of `boundary` too, takes its block size from
+Every exact pair engine runs on one depth-first descent (`_descend`) over a
+hierarchy of leaves of consecutive points (`_chunks`, `_levels`).  A node
+pair is settled whole where bounds that hold for every point pair below it
+decide it (`_gap_bounds` on exact bounding boxes; see the comment above it)
+and split where they do not; the leaf pairs left go through one NaN-padded
+gather (`_chunk_gaps`) and the brute-force expression, so every result
+equals brute force.  Grid pair counts, in sort-tile-recursive order, add
+|A|·|B| for a pair that no threshold splits; the maximum pairwise distance,
+in angle order, drops a pair whose box or law-of-cosines bound
+(`_polar_bounds`) falls below the best d2 so far; box-pair relations are
+maximal runs of consecutive boxes (`box_pair_runs`), joined as their rows
+are finished: the adjacency of `box_adjacency_runs`, with a second bound
+tight to second order (`_chord_bounds`), and the near sets of `boundary`.
+Every blocked loop, the tail of `boundary` too, takes its block size from
 one budget (`_per_block`).
-
-The maximum pairwise distance descends a hierarchy of groups of four over
-chunks in angle order about the bounding-box centre, only into the node pairs
-whose box bound and law-of-cosines bound (`_polar_bounds`, tight to second
-order along a curved boundary, where the near-maximal pairs lie) both reach
-the best d2 so far, at first a lower bound L taken from near-antipodal
-pairs.  The maximum is the brute-force float bit for bit.
 
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows.  `np.searchsorted` guesses the
@@ -43,8 +34,8 @@ import numbers
 
 import numpy as np
 
-# the block budget of every chunked loop (`_per_block`): an item (a chunk
-# row, chunk pair, node pair or tail event) keeps _TEMPS temporaries of its
+# the block budget of every blocked loop (`_per_block`): an item (a node
+# pair, leaf pair, run piece or tail event) keeps _TEMPS temporaries of its
 # width, and a block's temporaries hold _BLOCK_ELEMS elements in all, 8 MB of
 # float64, which bounds the loops' peak memory at a few tens of MB.  glibc
 # maps, faults in and unmaps each ~0.5 MB temporary anew until a larger mapped
@@ -55,10 +46,10 @@ import numpy as np
 _BLOCK_ELEMS = 1_000_000
 _TEMPS = 16
 np.empty(2 * _BLOCK_ELEMS)
-# points per chunk of the pair counts, the diameter and the near sets
+# points per leaf chunk of the pair counts and the diameter
 _CHUNK = 16
-# boxes per chunk of the box graph
-_GRAPH_CHUNK = 32
+# boxes per leaf chunk of the box graph
+_GRAPH_CHUNK = 8
 
 
 def _per_block(width=1):
@@ -161,11 +152,10 @@ def _cut(n, size):
 
 
 def _chunks(x, y, size):
-    """The starts and stops of the chunks of `size` consecutive points, their
-    exact bounding boxes, and x and y with the NaN point of `_chunk_gaps`
-    appended."""
-    starts, stops = _cut(x.shape[0], size)
-    return starts, stops, _group((x, x, y, y), starts), np.append(x, np.nan), np.append(y, np.nan)
+    """The starts of the chunks of `size` consecutive points, their exact
+    bounding boxes, and x and y with the NaN point of `_chunk_gaps` appended."""
+    starts = np.arange(0, x.shape[0], size)
+    return starts, _group((x, x, y, y), starts), np.append(x, np.nan), np.append(y, np.nan)
 
 
 def _chunk_gaps(px, py, i0, j0, size):
@@ -190,18 +180,82 @@ def _chunk_d2(px, py, i0, j0):
 
 
 # ---------------------------------------------------------------------------
+# one depth-first descent over a hierarchy of leaves for every pair engine
+# ---------------------------------------------------------------------------
+# Each level groups _FAN consecutive nodes of the level below (`_group`), so a
+# node of level l is a run of leaf * _FAN**l consecutive points whose boxes
+# contain its children's; levels are added until the top level's node pairs
+# split in one block.  `_descend`, the dual-tree scheme of Gray and Moore (NIPS
+# 2000), asks the engine for a verdict on every top node pair, and then, depth
+# first, on the child pairs of each pair left undecided: none of the point
+# pairs below holds, every one does (taken whole), or neither.  Blocks are
+# taken in the row order of the top pairs, so every row before the first one
+# a pending pair can reach is final.
+_FAN = 4
+
+
+def _levels(boxes):
+    """The boxes of every level over leaves with `boxes` (level 0), up to the
+    first level whose node pairs split in one block."""
+    levels = [boxes]
+    while len(levels[-1][0]) ** 2 > _per_block(_FAN * _FAN):
+        levels.append(_group(levels[-1], np.arange(0, len(levels[-1][0]), _FAN)))
+    return levels
+
+
+def _descend(levels, decide, whole, leaf, width, upper=False):
+    """A generator that descends from every pair of top nodes of `levels`
+    (the pairs a <= b if `upper`).  ``decide(level, a, b)`` takes node pairs
+    as index arrays and returns boolean arrays (none, every); ``whole`` takes
+    the pairs that every point pair below holds for, and ``leaf(a, b)`` the
+    leaf pairs left, `_per_block(width)` at a time.  After each block it
+    yields the first leaf row that a pending pair can reach."""
+    count = [boxes[0].shape[0] for boxes in levels]
+    grid = np.arange(_FAN)
+
+    def visit(level, a, b, first):
+        none, every = decide(level, a, b)
+        whole(level, a[every], b[every])
+        rest = ~(none | every)
+        return level, a[rest], b[rest], first
+
+    m = count[-1]
+    stack = [visit(len(levels) - 1, *(np.triu_indices(m) if upper else
+                                      np.divmod(np.arange(m * m), m)), 0)]
+    while stack:
+        # the undecided pairs of a level, and the first leaf row they reach
+        level, a, b, first = stack.pop()
+        if not a.shape[0]:
+            continue
+        per = _per_block(_FAN * _FAN if level else width)
+        if a.shape[0] > per:
+            stack.append((level, a[per:], b[per:], int(a[per:].min()) * _FAN**level))
+            a, b = a[:per], b[:per]
+        if level:
+            # the child pairs, in (pair, child of a, child of b) order
+            a = (a[:, None] * _FAN + grid).repeat(_FAN)
+            b = (b[:, None] * _FAN + grid).repeat(_FAN, axis=0).ravel()
+            keep = (a < count[level - 1]) & (b < count[level - 1])
+            if upper:
+                keep &= a <= b
+            stack.append(visit(level - 1, a[keep], b[keep], first))
+        else:
+            leaf(a, b)
+        yield min(entry[3] for entry in stack) if stack else count[0]
+
+
+# ---------------------------------------------------------------------------
 # exact pair counts over chunks in sort-tile-recursive order
 # ---------------------------------------------------------------------------
 # The points are put in sort-tile-recursive order (Leutenegger, Lopez and
 # Edgington, ICDE 1997): sorted by x, cut into floor(sqrt(n / 16)) strips of
-# equally many whole chunks, each strip sorted by y.  Chunks of _CHUNK
-# consecutive points then have small bounding boxes, and `_gap_bounds` puts
-# the d2 of every pair of a chunk pair in [lo2, hi2].  A chunk pair a < b
-# meets a near threshold t whole unless lo2 <= t < hi2, and a far threshold t
-# whole unless lo2 < t <= hi2; when it meets every threshold whole, it adds
-# |A|·|B| to each one it counts for.  The other chunk pairs, and each chunk's
-# own pairs i < j, are evaluated with the brute-force expression, so counts
-# equal brute force exactly.  The order decides only how much is evaluated.
+# equally many whole chunks, each strip sorted by y, so that chunks of _CHUNK
+# points, the leaves, and their groups have small bounding boxes.
+# `_gap_bounds` puts the d2 of every pair of a node pair a < b in [lo2, hi2]:
+# it meets a near threshold t whole unless lo2 <= t < hi2, and a far one
+# unless lo2 < t <= hi2, and when it meets every threshold whole it adds
+# |A|·|B| to each one it counts for.  A node's own pairs i < j are split down
+# to the leaves, and every leaf pair left is evaluated.
 
 def _tile_order(x, y):
     """Sort-tile-recursive order of the points, in strips of whole chunks."""
@@ -226,46 +280,42 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
         return list(zip(near, far))
     near_max = max(near_sq)
     far_min = min(far_sq)
-    starts, stops, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
-    m = starts.shape[0]
-    size = stops - starts
-    rows_per = _per_block(m)
-    pairs_per = _per_block(_CHUNK * _CHUNK)
+    starts, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
+    levels = _levels(boxes)
     lower = np.tril_indices(_CHUNK)
-    for a0 in range(0, m, rows_per):
-        # chunk pairs a <= b that some threshold can count a pair of; a
-        # chunk's own lo2 is 0, so its own pairs are always among them
-        lx, ux, ly, uy = _gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(a0, None))
-        lo2 = lx * lx + ly * ly
-        hi2 = ux * ux + uy * uy
-        upper = np.arange(lo2.shape[1]) >= np.arange(lo2.shape[0])[:, None]
-        a, b = np.nonzero(upper & ((lo2 <= near_max) | (hi2 >= far_min)))
-        lo2 = lo2[a, b]
-        hi2 = hi2[a, b]
-        a += a0
-        b += a0
-        whole = a != b
+
+    def bounds(level, a, b):
+        lx, ux, ly, uy = _gap_bounds(levels[level], a, b)
+        return lx * lx + ly * ly, ux * ux + uy * uy
+
+    def decide(level, a, b):
+        lo2, hi2 = bounds(level, a, b)
+        none = (lo2 > near_max) & (hi2 < far_min)
+        every = (a != b) & ~none
         for tn, tf in zip(near_sq, far_sq):
-            whole &= ((lo2 > tn) | (hi2 <= tn)) & ((lo2 >= tf) | (hi2 < tf))
-        weight = size[a[whole]] * size[b[whole]]
-        lo2 = lo2[whole]
-        hi2 = hi2[whole]
+            every &= ((lo2 > tn) | (hi2 <= tn)) & ((lo2 >= tf) | (hi2 < tf))
+        return none, every
+
+    def whole(level, a, b):
+        lo2, hi2 = bounds(level, a, b)
+        w = _CHUNK * _FAN**level
+        weight = (np.minimum(a * w + w, n) - a * w) * (np.minimum(b * w + w, n) - b * w)
         for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
             near[e] += int(weight[hi2 <= tn].sum())
             far[e] += int(weight[lo2 >= tf].sum())
-        a = a[~whole]
-        b = b[~whole]
-        for p0 in range(0, a.shape[0], pairs_per):
-            pa = a[p0 : p0 + pairs_per]
-            pb = b[p0 : p0 + pairs_per]
-            d2 = _chunk_d2(px, py, starts[pa], starts[pb])
-            # a chunk's own pairs i >= j read NaN, which neither test counts
-            d2[np.flatnonzero(pa == pb)[:, None], lower[0], lower[1]] = np.nan
-            near_d2 = d2[d2 <= near_max]
-            far_d2 = d2[d2 >= far_min]
-            for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
-                near[e] += int(np.count_nonzero(near_d2 <= tn))
-                far[e] += int(np.count_nonzero(far_d2 >= tf))
+
+    def leaf(a, b):
+        d2 = _chunk_d2(px, py, starts[a], starts[b])
+        # a chunk's own pairs i >= j read NaN, which neither test counts
+        d2[np.flatnonzero(a == b)[:, None], lower[0], lower[1]] = np.nan
+        near_d2 = d2[d2 <= near_max]
+        far_d2 = d2[d2 >= far_min]
+        for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
+            near[e] += int(np.count_nonzero(near_d2 <= tn))
+            far[e] += int(np.count_nonzero(far_d2 >= tf))
+
+    for _ in _descend(levels, decide, whole, leaf, _CHUNK * _CHUNK, upper=True):
+        pass
     return list(zip(near, far))
 
 
@@ -275,26 +325,13 @@ def pair_threshold_counts(xy: np.ndarray, epsilon: float) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# maximum pairwise distance by a descent over a hierarchy of chunks
+# maximum pairwise distance by the descent over chunks in angle order
 # ---------------------------------------------------------------------------
 # Sorted by angle about the bounding-box centre, a convex boundary's
-# near-maximal pairs join chunks about pi apart, and `_polar_bounds` rules
-# out the rest to second order.  Each node of a level groups _FAN nodes of the
-# level below (level 0: the chunks), up to at most _TOP nodes at the top, and
-# its boxes contain its children's, so the bounds of a node pair hold for
-# every pair below it.  The descent (the dual-tree scheme of Gray and Moore,
-# NIPS 2000) splits, depth first, only node pairs whose bounds reach the best
-# d2 so far, and each block of chunk pairs evaluated can raise that best.
-_FAN = 4
-_TOP = 64
-
-
-def _split(a, b, q):
-    """The q x q child pairs of the node pairs (a, b), in (pair, child of a,
-    child of b) order: child a*q + s of a with child b*q + t of b."""
-    grid = np.arange(q)
-    return (a[:, None] * q + grid).repeat(q), (b[:, None] * q + grid).repeat(q, axis=0).ravel()
-
+# near-maximal pairs join chunks about pi apart, and `_polar_bounds` rules out
+# the rest to second order.  A node pair holds none of the maximum when its
+# box bound or its polar bound falls below the best d2 so far, which each
+# block of chunk pairs evaluated can raise.
 
 def max_pairwise_distance_sq(xy: np.ndarray) -> float:
     """Largest d2 over all pairs, evaluated only on chunk pairs that can hold it.
@@ -323,69 +360,44 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
     starts, _ = _cut(n, _CHUNK)
     px, py = np.append(x, np.nan), np.append(y, np.nan)
     # levels[l]: the boxes and polar boxes of the nodes of level l
-    levels = [_group((x, x, y, y, r, t, t), starts)]
-    while len(levels[-1][0]) > _TOP:
-        levels.append(_group(levels[-1], np.arange(0, len(levels[-1][0]), _FAN)))
+    levels = _levels(_group((x, x, y, y, r, t, t), starts))
 
-    def bound(level, a, b):
+    def decide(level, a, b):
         # the polar bound only where the box bound reaches the best so far
         ux, uy = _gap_upper(levels[level][:4], a, b)
-        up = ux * ux + uy * uy
-        keep = up >= best
-        a, b, up = a[keep], b[keep], up[keep]
+        none = ux * ux + uy * uy < best
         if use_polar:
-            np.minimum(up, _polar_bounds(levels[level][4:], a, b), out=up)
-        return level, a, b, up
+            rest = np.flatnonzero(~none)
+            none[rest] = _polar_bounds(levels[level][4:], a[rest], b[rest]) < best
+        return none, np.zeros_like(none)
 
-    top = len(levels) - 1
-    stack = [bound(top, *np.triu_indices(len(levels[top][0])))]
-    while stack:
-        # the pairs whose bounds reach the best so far, a block at a time
-        level, a, b, up = stack.pop()
-        keep = up >= best
-        a, b, up = a[keep], b[keep], up[keep]
-        per = _per_block(_FAN * _FAN if level else _CHUNK * _CHUNK)
-        if a.shape[0] > per:
-            stack.append((level, a[per:], b[per:], up[per:]))
-            a, b = a[:per], b[:per]
-        if level == 0:
-            # fmax skips the last chunk's NaN point
-            d2 = _chunk_d2(px, py, starts[a], starts[b])
-            best = float(np.fmax.reduce(d2, axis=None, initial=best))
-        else:
-            # a node's pairs with itself split into its children's pairs a <= b
-            a, b = _split(a, b, _FAN)
-            keep = (a <= b) & (b < len(levels[level - 1][0]))
-            stack.append(bound(level - 1, a[keep], b[keep]))
+    def leaf(a, b):
+        nonlocal best
+        # fmax skips the last chunk's NaN point
+        d2 = _chunk_d2(px, py, starts[a], starts[b])
+        best = float(np.fmax.reduce(d2, axis=None, initial=best))
+
+    for _ in _descend(levels, decide, lambda *pairs: None, leaf, _CHUNK * _CHUNK, upper=True):
+        pass
     return best
 
 
 # ---------------------------------------------------------------------------
 # box-pair relations over equal axis-aligned boxes (runs of consecutive boxes)
 # ---------------------------------------------------------------------------
-# Box relations that depend only on |dx| and |dy| of the two centers share one
-# engine.  The boxes are cut, in their given order, into chunks of consecutive
-# boxes, and `_gap_bounds` on the chunks' bounding boxes bounds the |dx| and
-# |dy| of every pair of a chunk pair.  Each relation decides a chunk pair
-# whole from them (no pair holds, or every pair does):
-# * the adjacency of `box_adjacency_runs` needs no slack;
+# Box relations that depend only on |dx| and |dy| of the two centres share
+# `box_pair_runs`, which cuts the boxes, in their given order, into leaves of
+# consecutive boxes.  Each relation decides a node pair, at every level alike,
+# from `_gap_bounds` on the nodes' bounding boxes:
+# * the adjacency of `box_adjacency_runs` needs no slack, and passes the pairs
+#   the box bound leaves undecided to the `_chord_bounds` of that level's
+#   nodes (see the comment above `_CHORD_PAD`);
 # * the near sets of `boundary.near_runs` compare squared gaps with a slack,
 #   since their hypot (`boundary._box_gap`) is not guaranteed monotone.
-# The adjacency passes the chunk pairs these bounds leave undecided to the
-# second-order `_chord_bounds` (see the comment above `_CHORD_PAD`).  The
-# chunk pairs still undecided are split into the pairs of their sub-chunks
-# (a quarter of a chunk: 8 boxes for the graph, 4 for the near sets), which
-# the same bounds decide in the same way, and only the sub-chunk pairs still
-# undecided are evaluated, with the relation's own expression, so the runs
-# equal the full k x k evaluation entry for entry.  The split pays most at
-# a corner: a chunk that straddles one fits its segment badly, and whole it
-# stays undecided against most of the opposite arc.  The order decides only
-# how much is pruned: along a convex boundary in arc-length order the
-# adjacency evaluates 0.13 pairs per graph entry on the 10 000-point circle
-# hull at eps = 1/1024 (0.65 on a Reuleaux sample; 0.66 and 2.7 without the
-# split), and a row holds one run of antipodes, or two where the arc wraps
-# past box k - 1.
-
+# Along a convex boundary in arc-length order the adjacency evaluates 0.13
+# box pairs per graph entry on the 10 000-point circle hull at eps = 1/1024
+# (0.65 on a Reuleaux sample), and a row holds one run of antipodes, or two
+# where the arc wraps past box k - 1.
 
 def _true_runs(mask):
     """Runs (row, lo, hi) of True in each row of a 2-D boolean array."""
@@ -395,91 +407,71 @@ def _true_runs(mask):
     return rows[0::2], pos[0::2], pos[1::2]
 
 
-def _sub_size(size):
-    """Boxes per sub-chunk of `box_pair_runs` under chunks of `size`: a
-    quarter of a chunk where 4 divides `size`, else one box, so that the
-    sub-chunks tile the chunks."""
-    return size // 4 if size % 4 == 0 else 1
-
-
-def _whole_runs(starts, stops, row, lo, hi):
-    """Run pieces (box row, lo, hi) of the chunk runs (row, lo, hi): every
-    box of chunk `row` ~ every box of chunks lo .. hi - 1."""
-    count = stops[row] - starts[row]
-    return (expand_runs(starts[row], stops[row]), np.repeat(starts[lo], count),
-            np.repeat(stops[hi - 1], count))
-
-
 def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     """Maximal runs (row, lo, hi) of a box-pair relation, int64, sorted by row
     then lo: row ~ j for lo <= j < hi.
 
-    The boxes are cut into chunks of `size`, and each chunk into sub-chunks
-    of `_sub_size(size)`.  ``decide(level, a, b, lx, ux, ly, uy)`` takes the
-    flat indices a and b of chunks (level 0) or sub-chunks (level 1),
-    broadcast against each other, and bounds on |dx| and |dy| over every
-    pair of each pair (a, b), and returns boolean arrays (none, every).  The
-    chunk pairs that level 0 leaves undecided are split into sub-chunk
-    pairs, and only the sub-chunk pairs that level 1 leaves undecided are
-    evaluated, with ``holds(|dx|, |dy|)``, which must be False on the NaN box
-    that pads the last chunk.  Both may overwrite their bound arguments.
-    With loops=False, i ~ i is dropped.  Each row block joins its own run
-    pieces.
-    """
-    starts, stops, boxes, px, py = _chunks(cx, cy, size)
-    sub = _sub_size(size)
-    q = size // sub
-    sstarts, sstops = _cut(cx.shape[0], sub)
-    # the sub-chunks' boxes, built at the first undecided chunk pair
-    sboxes = ()
-    m, ms = starts.shape[0], sstarts.shape[0]
-    span = np.arange(sub)
-    rows_per = _per_block(m)
-    splits_per = _per_block(q * q)
-    pairs_per = _per_block(sub * sub)
+    The boxes are cut into leaves of `size` and descended (`_descend`): a node
+    of level l holds size * _FAN**l consecutive boxes, and
+    ``decide(level, a, b, lx, ux, ly, uy)`` returns (none, every) for node
+    pairs (a, b) from bounds on |dx| and |dy| over the box pairs below each.
+    The leaf pairs left are evaluated with ``holds(|dx|, |dy|)``, which must be
+    False on the NaN box that pads the last leaf; both may overwrite their
+    bound arguments.  With loops=False, i ~ i is dropped.  The rows that hold
+    more than a block of run pieces are joined once they are final."""
+    k = cx.shape[0]
+    starts, boxes, px, py = _chunks(cx, cy, size)
+    levels = _levels(boxes)
     none = np.empty(0, np.int64)
-    blocks = [(none, none, none)]
-    for a0 in range(0, m, rows_per):
-        a = np.arange(a0, min(a0 + rows_per, m))
-        skip, every = decide(0, a[:, None], np.arange(m),
-                             *_gap_bounds(boxes, np.s_[a0 : a0 + rows_per, None], slice(None)))
+    # run pieces (r0, r1, lo, hi): each row r0 <= i < r1 ~ every lo <= j < hi
+    pieces = [(none,) * 4]
+    runs = [(none,) * 3]
+
+    def verdict(level, a, b):
+        skip, every = decide(level, a, b, *_gap_bounds(levels[level], a, b))
         if not loops:
-            # a chunk's own pairs include i ~ i, so they are split
-            every[a - a0, a] = False
-        ra, blo, bhi = _true_runs(every)
-        pieces = [_whole_runs(starts, stops, ra + a0, blo, bhi)]
-        pa, pb = np.nonzero(~(skip | every))
-        pa += a0
-        for p0 in range(0, pa.shape[0], splits_per):
-            # the sub-chunk pairs of each chunk pair, one sub-row after
-            # another; the last chunk may hold fewer than q sub-chunks
-            sa, sb = _split(pa[p0 : p0 + splits_per], pb[p0 : p0 + splits_per], q)
-            sboxes = sboxes or _group((cx, cx, cy, cy), sstarts)
-            real = (sa < ms) & (sb < ms)
-            np.minimum(sa, ms - 1, out=sa)
-            np.minimum(sb, ms - 1, out=sb)
-            sskip, severy = decide(1, sa, sb, *_gap_bounds(sboxes, sa, sb))
-            severy &= real
-            if not loops:
-                severy &= sa != sb
-            # runs of sub-chunks whose every pair holds, one per sub-row
-            r, tlo, thi = _true_runs(severy.reshape(-1, q))
-            r *= q
-            pieces.append(_whole_runs(sstarts, sstops, sa[r], sb[r + tlo], sb[r + thi - 1] + 1))
-            leaf = np.flatnonzero(~(sskip | severy) & real)
-            for f0 in range(0, leaf.shape[0], pairs_per):
-                i0 = sstarts[sa[leaf[f0 : f0 + pairs_per]]]
-                j0 = sstarts[sb[leaf[f0 : f0 + pairs_per]]]
-                dx, dy = _chunk_gaps(px, py, i0, j0, sub)
-                hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
-                if not loops:
-                    hit[np.flatnonzero(i0 == j0)[:, None], span, span] = False
-                t, lo, hi = _true_runs(hit.reshape(-1, sub))
-                pair, off = np.divmod(t, sub)
-                pieces.append((i0[pair] + off, j0[pair] + lo, j0[pair] + hi))
-        # a block holds every chunk pair of its rows, so its runs are final
-        blocks.append(join_runs(*(np.concatenate(p) for p in zip(*pieces))))
-    return tuple(np.concatenate(b) for b in zip(*blocks))
+            # a node's own pairs include i ~ i, so they are split
+            every &= a != b
+        return skip, every
+
+    def whole(level, a, b):
+        # each run of pairs (a, b), (a, b + 1), ...: node a ~ nodes b ..
+        w = size * _FAN**level
+        new = np.ones(a.shape[0] + 1, bool)
+        new[1:-1] = (a[1:] != a[:-1]) | (b[1:] != b[:-1] + 1)
+        row = a[new[:-1]] * w
+        pieces.append((row, np.minimum(row + w, k), b[new[:-1]] * w,
+                       np.minimum(b[new[1:]] * w + w, k)))
+
+    def leaf(a, b):
+        i0, j0 = starts[a], starts[b]
+        dx, dy = _chunk_gaps(px, py, i0, j0, size)
+        hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
+        if not loops:
+            hit[np.flatnonzero(a == b)[:, None], np.arange(size), np.arange(size)] = False
+        t, lo, hi = _true_runs(hit.reshape(-1, size))
+        pair, off = np.divmod(t, size)
+        row = i0[pair] + off
+        pieces.append((row, row + 1, j0[pair] + lo, j0[pair] + hi))
+
+    def join(final):
+        # the runs of the rows before `final`; the pieces of the rows after stay
+        r0, r1, lo, hi = (np.concatenate(p) for p in zip(*pieces))
+        cut = np.clip(final, r0, r1)
+        rest = cut < r1
+        pieces[:] = [(cut[rest], r1[rest], lo[rest], hi[rest])]
+        count = cut - r0
+        runs.append(join_runs(expand_runs(r0, cut), np.repeat(lo, count), np.repeat(hi, count)))
+
+    final = 0
+    for low in _descend(levels, verdict, whole, leaf, size * size):
+        # the pieces of the rows before `final` change only as it grows
+        if low * size > final:
+            final = low * size
+            if sum(int((np.clip(final, r0, r1) - r0).sum()) for r0, r1, *_ in pieces) > _per_block():
+                join(final)
+    join(k)
+    return tuple(np.concatenate(r) for r in zip(*runs))
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +582,13 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
     of the two centres and s = `side`: the two boxes' largest distance, which
     two squares attain at corners, reaches 1 - eps.
 
-    At both levels of `box_pair_runs` (chunks of _GRAPH_CHUNK boxes and
-    their quarters) the pairs that the box bound leaves undecided go to the
-    chord bound (`_chord_bounds`), and only the sub-chunk pairs that neither
-    decides are evaluated."""
+    Built by `box_pair_runs` over leaves of _GRAPH_CHUNK boxes: at every
+    level the node pairs that the box bound leaves undecided go to the chord
+    bound of that level's nodes (`_chord_bounds`), and only the leaf pairs
+    that neither decides are evaluated."""
     thr2 = (1.0 - epsilon) * (1.0 - epsilon)
     size = _GRAPH_CHUNK
+    # each level's `_chord_chunks`, built on the level's first call
     chords = {}
 
     def reach2(ax, ay):
@@ -609,11 +602,10 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
 
     def decide(level, a, b, lx, ux, ly, uy):
         none, every = reach2(ux, uy) < thr2, reach2(lx, ly) >= thr2
-        if level not in chords:  # built on the level's first call
-            chords[level] = _chord_chunks(cx, cy, (size, _sub_size(size))[level], side, thr2)
+        if level not in chords:
+            chords[level] = _chord_chunks(cx, cy, size * _FAN**level, side, thr2)
         if chords[level] is not None:
-            rest = np.nonzero(~(none | every))
-            a, b = np.broadcast_arrays(a, b)
+            rest = np.flatnonzero(~(none | every))
             lo, hi = _chord_bounds(chords[level], side, a[rest], b[rest])
             none[rest] = hi < thr2
             every[rest] = lo >= thr2

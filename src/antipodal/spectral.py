@@ -210,12 +210,12 @@ def lambda1_bracket(
     """Two-sided certificate (lower, upper, residual) for λ1.
 
     With v the Perron vector of `perron_pair`: lower is its Rayleigh
-    quotient, which is at most λ1; upper is `collatz_wielandt_bound` at v,
-    floored at the smallest positive float so that it is admissible off v's
-    support, which is at least λ1; residual is ||M v - lower v|| / ||v||,
-    within which of lower an eigenvalue of M lies.  Both ends hold up to
-    the rounding of the products, so on a graph whose v is exact (a regular
-    graph, say) lower may exceed upper by a few ulps.
+    quotient, which is at most λ1; upper is `collatz_wielandt_bound` at v
+    floored at the smallest positive float (ValueError where that rejects it,
+    as off v's support on a graph of two components); residual is
+    ||M v - lower v|| / ||v||, within which of lower an eigenvalue lies.  Both
+    ends hold up to the rounding of the products, so on a graph whose v is
+    exact (a regular graph, say) lower may exceed upper by a few ulps.
     """
     lower, v, residual = perron_pair(G, tol, max_iter)
     upper = collatz_wielandt_bound(G, np.maximum(v, np.finfo(np.float64).tiny))
@@ -228,7 +228,11 @@ def collatz_wielandt_bound(G: AntipodalGraph, x: np.ndarray) -> float:
     ``G.matvec``).
 
     For nonnegative M this dominates λ1(M) for every admissible x; the
-    package's standard certificate is x_i = sqrt(d_i).
+    package's standard certificate is x_i = sqrt(d_i).  ``G.matvec`` sums a
+    run as a difference of prefix sums, each within γ_n·Σ|x| (Higham, 2002,
+    §4.2), so a large entry can swamp small ones: ValueError where that
+    rounding over x_i could exceed 1e-6 of the value, which is otherwise at
+    least λ1 / (1 + 1e-6 + 2**-53).
     """
     _require_edges(G)
     x = np.asarray(x, dtype=np.float64)
@@ -237,8 +241,13 @@ def collatz_wielandt_bound(G: AntipodalGraph, x: np.ndarray) -> float:
     live = _nonisolated(G)
     if not (np.isfinite(x).all() and (x[live] > 0.0).all()):
         raise ValueError("x must be finite, and strictly positive on non-isolated vertices")
-    mx = G.matvec(x)
-    return float((mx[live] / x[live]).max())
+    bound = float((G.matvec(x)[live] / x[live]).max())
+    # row i takes two prefix sums per run and adds its runs: (3 runs + 1) γ_n
+    runs = np.diff(G.run_ptr)[live]
+    nu = (G.k + runs + 2) * (np.finfo(np.float64).eps / 2)
+    if not ((3 * runs + 1) * nu / (1.0 - nu) * np.abs(x).sum() / x[live]).max() <= 1e-6 * bound:
+        raise ValueError("x spans too wide a range for the prefix sums of G.matvec")
+    return bound
 
 
 def sqrt_degree_certificate(G: AntipodalGraph) -> np.ndarray:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from antipodal import AntipodalGraph
+from antipodal import AntipodalGraph, kernels
+
+
+def deep_descent(mp):
+    """Shrink the block budget to 997 elements: 3 node pairs split in one
+    block, so every pair engine's hierarchy grows up to one top node, and a
+    set of more than `kernels._FAN` leaves descends at least three levels."""
+    mp.setattr(kernels, "_BLOCK_ELEMS", 997)
 
 
 @pytest.fixture

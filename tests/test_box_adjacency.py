@@ -1,9 +1,10 @@
-"""The chunk-pruned box adjacency is exact: its CSR equals the full k x k
+"""The pruned box adjacency is exact: its CSR equals the full k x k
 evaluation of the same expression entry for entry, on boundary boxes in
 arc-length order, on the same boxes shuffled, at exact ties with the
-threshold, and at every chunk size.  The chord bound that decides chunk pairs
-whole holds on both sides for every pair, and is tight enough that fewer box
-pairs are evaluated than the graph has entries."""
+threshold, at every leaf size, and down every level of the descent.  The
+chord bound that decides node pairs whole holds on both sides for every pair,
+and is tight enough that fewer box pairs are evaluated than the graph has
+entries."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from antipodal import (
     reuleaux_boundary_config,
 )
 
-from oracles import box_adjacency_brute
+from antipodal.boundary import near_runs, near_set_W
+from conftest import deep_descent
+from oracles import box_adjacency_brute, pair_counts_brute
 
 HULLS = {
     "circle": lambda: convex_hull(circle_config(2000)),
@@ -41,9 +44,12 @@ def _assert_matches_brute(cx, cy, side, eps):
     return indptr, indices
 
 
-def _with_chunk(monkeypatch, chunk):
-    """Cut the box graph into chunks of `chunk` boxes."""
+def _with_chunk(monkeypatch, chunk, deep=False):
+    """Cut the box graph into leaves of `chunk` boxes, under the deep block
+    budget (`conftest.deep_descent`) if `deep`."""
     monkeypatch.setattr(kernels, "_GRAPH_CHUNK", chunk)
+    if deep:
+        deep_descent(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +105,10 @@ _lattice = st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=
 
 @given(_lattice, st.lists(st.tuples(st.integers(0, 29), st.sampled_from(_TIES)),
                           max_size=10),
-       st.sampled_from([1, 2, 3, 5, 8, 12, 32]), st.randoms(use_true_random=False))
+       st.sampled_from([1, 2, 3, 5, 8, 12, 32]), st.randoms(use_true_random=False),
+       st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_lattice_ties_match_brute(base, ties, chunk, rnd):
+def test_lattice_ties_match_brute(base, ties, chunk, rnd, deep):
     pts = list(base)
     for i, (a, b) in ties:
         x, y = pts[i % len(base)]
@@ -109,7 +116,7 @@ def test_lattice_ties_match_brute(base, ties, chunk, rnd):
     rnd.shuffle(pts)
     xy = np.array(pts, dtype=np.float64) / 64
     with pytest.MonkeyPatch.context() as mp:
-        _with_chunk(mp, chunk)
+        _with_chunk(mp, chunk, deep)
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16)
 
 
@@ -126,13 +133,14 @@ def test_lattice_tie_is_an_edge(monkeypatch, chunk):
 
 @given(st.lists(st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)), min_size=1,
                 max_size=50),
-       st.floats(0.0, 1.0), st.floats(0.01, 0.49), st.sampled_from([1, 2, 5, 32]))
+       st.floats(0.0, 1.0), st.floats(0.01, 0.49), st.sampled_from([1, 2, 5, 32]),
+       st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_any_side_matches_brute(pts, side, eps, chunk):
+def test_any_side_matches_brute(pts, side, eps, chunk, deep):
     # sides near 1 make every pair an edge, and i ~ i would be one too
     xy = np.array(pts, dtype=np.float64)
     with pytest.MonkeyPatch.context() as mp:
-        _with_chunk(mp, chunk)
+        _with_chunk(mp, chunk, deep)
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), side, eps)
 
 
@@ -152,22 +160,23 @@ def test_large_side_has_no_self_loops():
 
 
 def test_graph_chunk_does_not_follow_the_block_budget(monkeypatch):
-    """The box graph is cut into chunks of `_GRAPH_CHUNK` boxes at any block
-    budget; a chunk size taken from the budget gave these 403 boxes 2."""
+    """The box graph's leaves, the box pairs evaluated together, hold
+    `_GRAPH_CHUNK` boxes at any block budget; a leaf size taken from the
+    budget gave these 403 boxes 2."""
     boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
     assert boxing.k == 403
     sizes = []
-    box_pair_runs = kernels.box_pair_runs
+    chunk_gaps = kernels._chunk_gaps
 
-    def spy(cx, cy, size, *args, **kwargs):
+    def spy(px, py, i0, j0, size):
         sizes.append(size)
-        return box_pair_runs(cx, cy, size, *args, **kwargs)
+        return chunk_gaps(px, py, i0, j0, size)
 
-    monkeypatch.setattr(kernels, "box_pair_runs", spy)
+    monkeypatch.setattr(kernels, "_chunk_gaps", spy)
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 1000)
     _assert_matches_brute(boxing.centers[:, 0].copy(), boxing.centers[:, 1].copy(),
                           boxing.side, boxing.epsilon)
-    assert sizes == [kernels._GRAPH_CHUNK] == [32]
+    assert sizes and set(sizes) == {kernels._GRAPH_CHUNK} == {8}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 31])
@@ -224,8 +233,9 @@ def test_graph_bounds_hold_at_lattice_ties(size):
 
 
 def _antipodal_chunks():
-    """Eight 32-box chunks of the 10 000-point circle hull at ε = 1/1024 and
-    the eight chunks across from them, where the bound is second-order tight."""
+    """Eight 32-box chunks (nodes of level 1) of the 10 000-point circle hull
+    at ε = 1/1024 and the eight chunks across from them, where the bound is
+    second-order tight."""
     boxing = discretize_boundary(convex_hull(circle_config(10_000)), 1 / 1024)
     half = boxing.k // 2 // 32 * 32
     pick = np.r_[0:256, half : half + 256]
@@ -288,9 +298,9 @@ def _evaluated_per_entry(monkeypatch, hull, eps):
 
 
 def test_circle_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
-    """With the chord bound and the split into 8-box sub-chunks,
+    """With the chord bound at every level down to the 8-box leaves,
     `build_graph` on the 10 000-point circle hull at ε = 1/1024 evaluates
-    0.13 box pairs per entry of the graph; the chord bound on whole chunks
+    0.13 box pairs per entry of the graph; the chord bound on 32-box chunks
     alone evaluated 0.66, and the box bound alone 2.56."""
     evaluated, nnz = _evaluated_per_entry(monkeypatch, convex_hull(circle_config(10_000)),
                                           1 / 1024)
@@ -299,44 +309,82 @@ def test_circle_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
 
 
 def test_reuleaux_graph_evaluates_fewer_pairs_than_entries(monkeypatch):
-    """On the 10 000-point Reuleaux hull at ε = 1/1024 the chunks that
+    """On the 10 000-point Reuleaux hull at ε = 1/1024 the 32-box nodes that
     straddle the three corners stay undecided against most of the opposite
-    arc; split into 8-box sub-chunks, only those at the corners are
-    evaluated: 0.65 box pairs per entry, where whole chunks took 2.74."""
+    arc; split into 8-box leaves, only those at the corners are evaluated:
+    0.65 box pairs per entry, where 32-box leaves took 2.74."""
     evaluated, nnz = _evaluated_per_entry(
         monkeypatch, convex_hull(reuleaux_boundary_config(10_000, 1)), 1 / 1024)
     assert nnz == 310_550
     assert 0 < evaluated < nnz
 
 
-@pytest.mark.parametrize("flip", ["none", "every"])
-def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, flip):
-    """Mutation gate for the descent: `decide` wrapped to flip its first
-    settled sub-chunk verdict off the diagonal ("none" to "every", or back)
-    gives runs that differ from brute force, so a wrong sub-chunk decision
-    cannot pass the comparisons above."""
-    boxing = discretize_boundary(convex_hull(circle_config(2000)), 1 / 256)
-    cx = boxing.centers[:, 0].copy()
-    cy = boxing.centers[:, 1].copy()
-    flipped = []
-    box_pair_runs = kernels.box_pair_runs
+def _near_run_rows(boxing, factor):
+    """Each vertex's near set, expanded from `near_runs`."""
+    row, lo, hi = near_runs(boxing, factor)
+    ptr = np.searchsorted(row, np.arange(boxing.k + 1))
+    return [kernels.expand_runs(lo[ptr[i] : ptr[i + 1]], hi[ptr[i] : ptr[i + 1]])
+            for i in range(boxing.k)]
 
-    def spy(cx, cy, size, decide, holds, loops=True):
-        def mutant(level, a, b, *bounds):
-            none, every = decide(level, a, b, *bounds)
-            if level == 1 and not flipped:
-                a, b = np.broadcast_arrays(a, b)
+
+def _relation(name):
+    """(output, oracle) of a relation on an input that descends at least
+    three levels under the deep block budget."""
+    if name == "adjacency":
+        boxing = discretize_boundary(convex_hull(circle_config(2000)), 1 / 256)
+        cx = boxing.centers[:, 0].copy()
+        cy = boxing.centers[:, 1].copy()
+        return (lambda: kernels.box_adjacency_csr(cx, cy, boxing.side, boxing.epsilon),
+                lambda: box_adjacency_brute(cx, cy, boxing.side, boxing.epsilon))
+    if name == "near-runs":
+        boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
+        return (lambda: _near_run_rows(boxing, 20.0),
+                lambda: [near_set_W(boxing, i, 20.0) for i in range(boxing.k)])
+    # 64 points on each of five sites, 1/16, 15/16 or 1 apart on an axis
+    points = [site for site in [(0.0, 0.0), (1 / 16, 0.0), (0.5, 0.5), (15 / 16, 0.0),
+                                (1.0, 0.0)] for _ in range(64)]
+    epsilons = (0.3, 0.08, 0.02)
+    return (lambda: kernels.pair_grid_counts(np.array(points), epsilons),
+            lambda: [pair_counts_brute(points, e) for e in epsilons])
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# a pair that counts for no threshold adds nothing when taken whole, so the
+# counts flip "every" only
+@pytest.mark.parametrize("relation, flip", [
+    ("adjacency", "none"), ("adjacency", "every"), ("near-runs", "none"),
+    ("near-runs", "every"), ("pair-counts", "every"),
+], ids=["none", "every", "near-runs-none", "near-runs-every", "pair-counts-every"])
+def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, relation, flip):
+    """Mutation gate for the descent: `decide` wrapped to flip its first
+    settled verdict off the diagonal at a level above the leaves ("none" to
+    "every", or back) gives an output that differs from the relation's
+    oracle, so a wrong node-pair decision cannot pass the comparisons with
+    brute force."""
+    output, oracle = _relation(relation)
+    want = oracle()
+    flipped = []
+    descend = kernels._descend
+
+    def spy(levels, decide, whole, leaf, width, upper=False):
+        def mutant(level, a, b):
+            none, every = decide(level, a, b)
+            if level >= 1 and not flipped:
                 settled = np.flatnonzero((none if flip == "none" else every) & (a != b))
                 if settled.size:
                     p = settled[0]
                     none[p], every[p] = every[p], none[p]
-                    flipped.append(p)
+                    flipped.append(level)
             return none, every
 
-        return box_pair_runs(cx, cy, size, mutant, holds, loops)
+        return descend(levels, mutant, whole, leaf, width, upper)
 
-    monkeypatch.setattr(kernels, "box_pair_runs", spy)
-    indptr, indices = kernels.box_adjacency_csr(cx, cy, boxing.side, boxing.epsilon)
-    b_indptr, b_indices = box_adjacency_brute(cx, cy, boxing.side, boxing.epsilon)
+    deep_descent(monkeypatch)
+    assert _same(output(), want)
+    monkeypatch.setattr(kernels, "_descend", spy)
+    got = output()
     assert flipped
-    assert not (np.array_equal(indptr, b_indptr) and np.array_equal(indices, b_indices))
+    assert not _same(got, want)

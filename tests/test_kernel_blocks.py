@@ -1,8 +1,8 @@
-"""The row-block size of the NumPy kernels caps their temporaries only: any
+"""The block size of the NumPy kernels caps their temporaries only: any
 block size gives the same integers and floats.  The block sizes below change
-how many chunks and chunk pairs a block holds, from one up; the chunk sizes
-themselves are fixed.  A repeated call does not fault its blocks'
-temporaries in anew, whatever ran before it."""
+how many node pairs a block holds, from one up, and how many levels the
+descent builds; the leaf sizes themselves are fixed.  A repeated call does
+not fault its blocks' temporaries in anew, whatever ran before it."""
 
 import platform
 import subprocess
@@ -53,9 +53,17 @@ def _outputs():
 
 @pytest.mark.parametrize("block_elems", [1, 997, 123_457])
 def test_block_size_does_not_change_outputs(monkeypatch, block_elems):
+    """At 997 elements (`conftest.deep_descent`) every engine descends from
+    one top node through at least three levels."""
     indptr, indices, counts, dmax = _outputs()
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    built = []
+    levels = kernels._levels
+    monkeypatch.setattr(kernels, "_levels", lambda boxes: built.append(levels(boxes)) or built[-1])
     b_indptr, b_indices, b_counts, b_dmax = _outputs()
+    if block_elems == 997:
+        assert [len(lv[-1][0]) for lv in built] == [1] * len(built)
+        assert min(len(lv) for lv in built) >= 3
     assert np.array_equal(indptr, b_indptr)
     assert np.array_equal(indices, b_indices)
     assert counts == b_counts
@@ -66,7 +74,8 @@ def test_block_size_does_not_change_outputs(monkeypatch, block_elems):
 @pytest.fixture
 def joins(monkeypatch):
     """The rows of every `join_runs` call, at a block budget of 16 elements,
-    which gives each row block one chunk row."""
+    under which the rows are joined as soon as more than one run piece of
+    final rows is held."""
     calls = []
     join_runs = kernels.join_runs
 
@@ -79,9 +88,13 @@ def joins(monkeypatch):
     return calls
 
 
-def _assert_one_chunk_row_per_join(calls, k, size):
-    """The calls see the chunk rows of `size` boxes one at a time, in order."""
-    assert [np.unique(c // size).tolist() for c in calls] == [[a] for a in range(-(-k // size))]
+def _assert_whole_rows_per_join(calls, k):
+    """The calls see whole consecutive rows, in order, each row in exactly one
+    call (every row here holds a run), and the rows are joined in several
+    calls as the descent goes."""
+    rows = [np.unique(c) for c in calls]
+    assert len([r for r in rows if r.size]) > 5
+    assert np.array_equal(np.concatenate(rows), np.arange(k))
 
 
 def test_adjacency_runs_are_joined_one_row_block_at_a_time(joins):
@@ -90,7 +103,7 @@ def test_adjacency_runs_are_joined_one_row_block_at_a_time(joins):
     cy = boxing.centers[:, 1].copy()
     g = AntipodalGraph(boxing.k, *kernels.box_adjacency_runs(cx, cy, boxing.side,
                                                              boxing.epsilon))
-    _assert_one_chunk_row_per_join(joins, boxing.k, kernels._GRAPH_CHUNK)
+    _assert_whole_rows_per_join(joins, boxing.k)
     b_indptr, b_indices = box_adjacency_brute(cx, cy, boxing.side, boxing.epsilon)
     assert np.array_equal(g.indptr, b_indptr)
     assert np.array_equal(g.indices, b_indices)
@@ -99,7 +112,7 @@ def test_adjacency_runs_are_joined_one_row_block_at_a_time(joins):
 def test_near_runs_are_joined_one_row_block_at_a_time(joins):
     boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
     row, lo, hi = near_runs(boxing, 3.0)
-    _assert_one_chunk_row_per_join(joins, boxing.k, kernels._CHUNK)
+    _assert_whole_rows_per_join(joins, boxing.k)
     ptr = np.searchsorted(row, np.arange(boxing.k + 1))
     for i in range(boxing.k):
         r = slice(ptr[i], ptr[i + 1])

@@ -22,6 +22,7 @@ from antipodal import (
 from antipodal import kernels
 from antipodal.harness import DEFAULT_RATIO_GRID
 
+from conftest import deep_descent
 from oracles import diameter_brute, pair_counts_brute
 
 
@@ -59,10 +60,22 @@ lattice_grids = st.sets(st.integers(1, 31), max_size=4).map(
 @settings(max_examples=150, deadline=None)
 def test_lattice_counts_and_diameter_match_brute_force(points, epsilons):
     ps = PointSet.from_points(points)
-    assert pair_counts_grid(ps, epsilons) == _brute_grid(points, epsilons)
+    brute = _brute_grid(points, epsilons)
+    assert pair_counts_grid(ps, epsilons) == brute
     assert diameter(ps) == diameter_brute(points)
     with pytest.MonkeyPatch.context() as mp:
         assert _deep_descent(mp, ps.coords)[0] == _brute_max_d2(ps.coords)
+        # the counts of one-point chunks, down every level from one top node
+        assert pair_counts_grid(ps, epsilons) == brute
+
+
+def _deep_counts(xy, epsilons, chunk):
+    """`pair_grid_counts` with chunks of `chunk` points under the deep block
+    budget (`conftest.deep_descent`)."""
+    with pytest.MonkeyPatch.context() as mp:
+        deep_descent(mp)
+        mp.setattr(kernels, "_CHUNK", chunk)
+        return kernels.pair_grid_counts(xy, epsilons)
 
 
 def test_whole_chunk_pairs_count_their_ties():
@@ -72,7 +85,10 @@ def test_whole_chunk_pairs_count_their_ties():
     and 15/16 that are counted whole."""
     xy = _tie_sites()
     epsilons = (1 / 8, 1 / 16, 1 / 32)
-    assert kernels.pair_grid_counts(xy, epsilons) == _dense_counts(xy, epsilons)
+    want = _dense_counts(xy, epsilons)
+    assert kernels.pair_grid_counts(xy, epsilons) == want
+    # node pairs above the chunks are counted whole too
+    assert _deep_counts(xy, epsilons, kernels._CHUNK) == want
 
 
 def _tie_sites():
@@ -89,6 +105,7 @@ def test_exact_ties_at_both_thresholds_count():
     counts = pair_counts(PointSet.from_points(points), 1 / 16)
     assert (counts.neighbors, counts.antipodes) == pair_counts_brute(points, 1 / 16)
     assert (counts.neighbors, counts.antipodes) == (3, 5)
+    assert _deep_counts(np.array(points), [1 / 16], 1) == [(3, 5)]
 
 
 _DEGENERATE = {
@@ -268,13 +285,14 @@ def _brute_max_d2(xy, rows=256):
 
 
 def _deep_descent(mp, xy, chunk=1):
-    """`max_pairwise_distance_sq` with chunks of `chunk` points and a top
-    level of one node, so that it descends through every level of groups of
-    four, and the number of levels it built."""
+    """`max_pairwise_distance_sq` with chunks of `chunk` points under the
+    deep block budget (`conftest.deep_descent`), so that it descends through
+    every level of groups of four from one top node, and the number of levels
+    it built."""
     built = []
     group = kernels._group
     mp.setattr(kernels, "_CHUNK", chunk)
-    mp.setattr(kernels, "_TOP", 1)
+    deep_descent(mp)
     mp.setattr(kernels, "_group", lambda *args: built.append(args) or group(*args))
     return kernels.max_pairwise_distance_sq(xy), len(built)
 

@@ -26,7 +26,7 @@ from antipodal.boundary import (
     max_scaled_tail,
     tail_counts,
 )
-from conftest import complete_graph, random_graph, star_graph
+from conftest import complete_graph, deep_descent, random_graph, star_graph
 
 from oracles import box_adjacency_brute, max_scaled_tail_brute
 
@@ -73,12 +73,18 @@ def _assert_matches_brute(cx, cy, side, eps):
 
 
 @given(st.sampled_from(sorted(HULLS)), st.sampled_from(EPSILONS),
-       st.one_of(st.none(), st.integers(0, 3)))
+       st.one_of(st.none(), st.integers(0, 3)), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_hull_runs_match_brute(hull, eps, shuffle_seed):
+def test_hull_runs_match_brute(hull, eps, shuffle_seed, deep):
+    """Also down every level from one top node (`conftest.deep_descent`),
+    on boxes in arc-length order, where most node pairs are settled."""
     boxing = _boxing(hull, eps, shuffle_seed)
     cx = boxing.centers[:, 0].copy()
     cy = boxing.centers[:, 1].copy()
+    if deep and shuffle_seed is None:
+        with pytest.MonkeyPatch.context() as mp:
+            deep_descent(mp)
+            _assert_matches_brute(cx, cy, boxing.side, eps)
     row, lo, hi = _assert_matches_brute(cx, cy, boxing.side, eps)
     g = build_graph(boxing)
     assert np.array_equal(g.row, row) and np.array_equal(g.lo, lo)
@@ -115,9 +121,9 @@ _lattice = st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=
 
 @given(_lattice, st.lists(st.tuples(st.integers(0, 29), st.sampled_from(_TIES)),
                           max_size=10),
-       st.sampled_from([1, 2, 3, 5, 32]), st.randoms(use_true_random=False))
+       st.sampled_from([1, 2, 3, 5, 32]), st.randoms(use_true_random=False), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_lattice_tie_runs_match_brute(base, ties, chunk, rnd):
+def test_lattice_tie_runs_match_brute(base, ties, chunk, rnd, deep):
     pts = list(base)
     for i, (a, b) in ties:
         x, y = pts[i % len(base)]
@@ -126,6 +132,8 @@ def test_lattice_tie_runs_match_brute(base, ties, chunk, rnd):
     xy = np.array(pts, dtype=np.float64) / 64
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_GRAPH_CHUNK", chunk)
+        if deep:
+            deep_descent(mp)
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16)
 
 

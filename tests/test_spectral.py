@@ -81,6 +81,17 @@ def test_cw_all_ones_on_regular_graph():
     assert collatz_wielandt_bound(g, np.ones(4)) == pytest.approx(3.0, rel=1e-12)
 
 
+def test_cw_is_a_bound_or_raises_where_prefix_sums_swamp_x():
+    """K4 plus an isolated vertex 0, where λ1 = 3: the prefix sums of
+    x = (1e20, 1, 1, 1, 1) lose every small entry, and the quotient read 0.0;
+    x = (1e6, 1, 1, 1, 1) is within the rounding bound."""
+    g = AntipodalGraph.from_dense(np.pad(np.ones((4, 4), np.uint8) - np.eye(4, dtype=np.uint8),
+                                         ((1, 0), (1, 0))))
+    with pytest.raises(ValueError, match="range"):
+        collatz_wielandt_bound(g, np.array([1e20, 1.0, 1.0, 1.0, 1.0]))
+    assert collatz_wielandt_bound(g, np.array([1e6, 1.0, 1.0, 1.0, 1.0])) >= 3.0
+
+
 def test_cw_rejects_nonpositive_x():
     g = complete_graph(4)
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from antipodal import (
 )
 from antipodal.boundary import BoundaryBoxing, max_scaled_tail, near_runs
 from antipodal.geometry import PointSet
-from conftest import random_graph, star_graph
+from conftest import deep_descent, random_graph, star_graph
 
 from oracles import max_scaled_tail_brute
 
@@ -181,10 +181,14 @@ def grid_boxings(draw):
     return BoundaryBoxing(c.reshape(k, 2), 1 / 16)
 
 
-@given(grid_boxings(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0, 100.0]))
+@given(grid_boxings(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0, 100.0]), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_near_runs_at_ulp_ties(boxing, factor):
-    _assert_near_runs_match(boxing, factor)
+def test_near_runs_at_ulp_ties(boxing, factor, deep):
+    """Also down every level from one top node (`conftest.deep_descent`)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if deep:
+            deep_descent(mp)
+        _assert_near_runs_match(boxing, factor)
 
 
 @given(grid_boxings(), st.sampled_from([0.1, 0.3, 0.7]), st.integers(0, 10_000),
