@@ -9,7 +9,8 @@ predicate "inside both annuli" plus its four corner vertices; a cover counts
 the ε/2 cells with an interior sample point inside both annuli (res x res
 samples per cell), rather than clipping arc polygons.  Each sample column's
 inside samples form one run of rows; `kernels` guesses the run's ends with
-`np.searchsorted` and certifies them with the membership expressions.
+`np.searchsorted`, certifies them with the membership expressions and paints
+the runs into the grid.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from . import kernels
 from .geometry import Point, _check_epsilon
 
 RADICAND_CLAMP = -1e-14
+# samples per block of the height bound in `spans`
+_SPAN_BLOCK = 64
 
 
 class NegativeRadicandError(ValueError):
@@ -125,17 +128,32 @@ def spans(cfg: AnnulusPairConfig) -> tuple[float, float]:
     """(width, height) of the upper intersection region.
 
     width is the horizontal extent between the side vertices; height is the
-    maximum vertical thickness, found by sampling the x-range at step
-    <= epsilon/100.
+    maximum vertical thickness over samples of the x-range at step
+    <= epsilon/100.  The samples are cut into blocks of _SPAN_BLOCK on each
+    side of x = 0, and a block is evaluated in full only where a bound from
+    its two end samples exceeds the best end value: within a block |x| is
+    monotone, y_top does not rise with |x|, y_bot rises then falls, and each
+    rounded step of `_band_heights` is monotone, so no sample's thickness
+    exceeds fl(max of the end y_tops - min of the end y_bots).  The height
+    equals the maximum over all the samples bit for bit.
     """
     verts = intersection_vertices(cfg)
     width = 2.0 * verts.side_pos.x
     step = cfg.epsilon / 100.0
     nsteps = max(2, int(math.ceil(width / step)) + 1)
     xs = np.linspace(-verts.side_pos.x, verts.side_pos.x, nsteps)
-    y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs)
-    height = float(np.maximum(y_top - y_bot, 0.0).max())
-    return width, height
+    neg = int(np.searchsorted(xs, 0.0))
+    starts = np.concatenate([np.arange(0, neg, _SPAN_BLOCK),
+                             np.arange(neg, nsteps, _SPAN_BLOCK)])
+    stops = np.append(starts[1:], nsteps)
+    y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs[[starts, stops - 1]])
+    best = max(float((y_top - y_bot).max()), 0.0)
+    undecided = y_top.max(axis=0) - y_bot.min(axis=0) > best
+    if undecided.any():
+        inner = kernels.expand_runs(starts[undecided], stops[undecided])
+        y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs[inner])
+        best = max(float((y_top - y_bot).max()), best)
+    return width, best
 
 
 def _occupancy(d, r_in, r_out, epsilon, x_extent, y_low, y_high, resolution):

@@ -19,8 +19,10 @@ one budget (`_per_block`).
 The annuli occupancy grid is one exact pure-NumPy path: each sample column's
 inside samples form one run of sample rows.  `np.searchsorted` guesses the
 run's ends, and each guess is certified, or walked to the right row, by the
-membership expressions the full res x res evaluation would use, so the grid
-equals that evaluation cell for cell.
+membership expressions the full res x res evaluation would use; the runs'
+cell rows are written straight into a column-major boolean grid, and a
+window symmetric about x = 0 at a power-of-two res is painted for its right
+half and mirrored, so the grid equals that evaluation cell for cell.
 
 The CSR matrix-vector product and the common-neighbor row are standalone
 NumPy references: the package's own products run on the runs
@@ -661,8 +663,17 @@ def box_adjacency_csr(cx, cy, side: float, epsilon: float):
 # "a2 <= ro2 and b2 <= ro2" on a prefix, and the inside samples are one run
 # [lo, hi), possibly empty.  The rows with y < 0 (only when iy0 < 0) form a
 # second such segment once read in reverse, since fl((-y)*(-y)) == fl(y*y).
-# `_first_rows` certifies each end with its expression, so the grid equals the
-# full res x res evaluation bit for bit.
+# `_first_rows` certifies each end with its expression, and `_paint_columns`
+# writes each run's cell rows into a column-major grid with `expand_runs`, so
+# the grid equals the full res x res evaluation bit for bit.
+#
+# A window symmetric about x = 0 (ix0 = -ix1 - 1) is painted for columns
+# 0 … ix1 only, and columns ix0 … -1 are their mirror image.  With res a power
+# of two, sub = (s + 1/2) / res is exact and sub[res - 1 - s] = 1 - sub[s], so
+# (-1 - ix) + sub[res - 1 - s] is exactly -(ix + sub[s]), and the samples of
+# column -1 - ix are those of column ix negated (fl(-u * pitch) = -fl(u *
+# pitch)).  Then fl(-x + d/2) = -fl(x - d/2) and fl(-x - d/2) = -fl(x + d/2)
+# swap xa2 and xb2, which the membership test treats alike.
 
 def _first_rows(seg, c, r, side):
     """For each entry of c, the first row t of the non-decreasing seg where
@@ -686,6 +697,31 @@ def _first_rows(seg, c, r, side):
     return t
 
 
+def _paint_columns(grid, d, r_in, r_out, pitch, ix0, iy0, res):
+    """Mark in grid (cell columns ix0 … by cell rows iy0 …) the cells holding
+    an inside sample."""
+    ncol, nrow = grid.shape
+    sub = (np.arange(res) + 0.5) / res
+    xs = ((ix0 + np.arange(ncol))[:, None] + sub[None, :]).reshape(-1) * pitch
+    ys = ((iy0 + np.arange(nrow))[:, None] + sub[None, :]).reshape(-1) * pitch
+    xab2 = xs + np.array([[0.5 * d], [-0.5 * d]])
+    xab2 *= xab2  # rows: xa*xa, xb*xb
+    y2 = ys * ys
+    neg = int(np.count_nonzero(ys < 0.0))
+    flat = grid.reshape(-1)
+    # each segment: its sample rows in order of non-decreasing y2
+    for rows in (np.arange(neg, ys.shape[0]), np.arange(neg - 1, -1, -1)):
+        if not rows.shape[0]:
+            continue
+        seg = y2[rows]
+        lo = _first_rows(seg, xab2, r_in * r_in, "left").max(axis=0)
+        hi = _first_rows(seg, xab2, r_out * r_out, "right").min(axis=0)
+        run = np.flatnonzero(lo < hi)
+        ends = rows[np.stack([lo[run], hi[run] - 1])] // res
+        base = run // res * nrow  # the first cell of each run's cell column
+        flat[expand_runs(base + ends.min(axis=0), base + ends.max(axis=0) + 1)] = True
+
+
 def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
     """Boolean occupancy grid of the annuli intersection over the cell window;
     ValueError when res is not an integer >= 1, when the pitch is not finite
@@ -700,30 +736,14 @@ def annuli_occupancy_grid(d, r_in, r_out, pitch, ix0, ix1, iy0, iy1, res=8):
     if max(abs(ix0), abs(ix1), abs(iy0), abs(iy1)) * 2 * res >= 2**53:
         raise ValueError("cell window index too large for exact sample "
                          f"coordinates (pitch {pitch!r}): epsilon is too small")
-    ncol = ix1 - ix0 + 1
-    nrow = iy1 - iy0 + 1
-    sub = (np.arange(res) + 0.5) / res
-    xs = ((ix0 + np.arange(ncol))[:, None] + sub[None, :]).reshape(-1) * pitch
-    ys = ((iy0 + np.arange(nrow))[:, None] + sub[None, :]).reshape(-1) * pitch
-    xab = xs + np.array([[0.5 * d], [-0.5 * d]])  # rows: xa, xb
-    xab2 = xab * xab
-    y2 = ys * ys
-    neg = int(np.count_nonzero(ys < 0.0))
-    col = np.arange(ncol * res) // res
-    diff = np.zeros((nrow + 1) * ncol, np.int32)
-    # each segment: its sample rows in order of non-decreasing y2
-    for rows in (np.arange(neg, ys.shape[0]), np.arange(neg - 1, -1, -1)):
-        if not rows.shape[0]:
-            continue
-        seg = y2[rows]
-        lo = _first_rows(seg, xab2, r_in * r_in, "left").max(axis=0)
-        hi = _first_rows(seg, xab2, r_out * r_out, "right").min(axis=0)
-        run = lo < hi
-        ends = rows[np.stack([lo[run], hi[run] - 1])] // res
-        np.add.at(diff, ends.min(axis=0) * ncol + col[run], np.int32(1))
-        np.add.at(diff, (ends.max(axis=0) + 1) * ncol + col[run], np.int32(-1))
-    diff = diff.reshape(nrow + 1, ncol)
-    return np.cumsum(diff, axis=0, out=diff)[:nrow] > 0
+    grid = np.zeros((ix1 - ix0 + 1, iy1 - iy0 + 1), np.bool_)  # column-major
+    if ix0 == -ix1 - 1 and res & (res - 1) == 0:
+        half = ix1 + 1
+        _paint_columns(grid[half:], d, r_in, r_out, pitch, 0, iy0, res)
+        grid[:half] = grid[half:][::-1]
+    else:
+        _paint_columns(grid, d, r_in, r_out, pitch, ix0, iy0, res)
+    return grid.T
 
 
 # ---------------------------------------------------------------------------

@@ -211,14 +211,16 @@ def lambda1_bracket(
 
     With v the Perron vector of `perron_pair`: lower is its Rayleigh
     quotient, which is at most λ1; upper is `collatz_wielandt_bound` at v
-    floored at the smallest positive float (ValueError where that rejects it,
-    as off v's support on a graph of two components); residual is
-    ||M v - lower v|| / ||v||, within which of lower an eigenvalue lies.  Both
-    ends hold up to the rounding of the products, so on a graph whose v is
-    exact (a regular graph, say) lower may exceed upper by a few ulps.
+    floored at 2**-20 max(v), which keeps the near-zero entries off v's
+    support (on a graph of two components) within the rounding range of the
+    prefix sums (any positive x gives a bound, so the floor only loosens it);
+    residual is ||M v - lower v|| / ||v||, within which of lower an
+    eigenvalue lies.  Both ends hold up to the rounding of the products, so
+    on a graph whose v is exact (a regular graph, say) lower may exceed
+    upper by a few ulps.
     """
     lower, v, residual = perron_pair(G, tol, max_iter)
-    upper = collatz_wielandt_bound(G, np.maximum(v, np.finfo(np.float64).tiny))
+    upper = collatz_wielandt_bound(G, np.maximum(v, 2.0**-20 * v.max()))
     return lower, upper, residual
 
 

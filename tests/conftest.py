@@ -3,6 +3,10 @@ import pytest
 
 from antipodal import AntipodalGraph, kernels
 
+# the annuli-covers benchmark lattice: thickened covers where d >= 12*eps
+LATTICE = [(d, eps) for eps in (0.0005, 0.001, 0.002, 0.005, 0.01)
+           for d in (4 * eps, 0.05, 0.1, 0.25, 0.5, 1.0)]
+
 
 def deep_descent(mp):
     """Shrink the block budget to 997 elements: 3 node pairs split in one

@@ -93,6 +93,23 @@ def two_circle_upper(c1x, r1, c2x, r2):
     return c1x + sign * a, math.sqrt(h2)
 
 
+def band_height_dense(d, eps, side_x):
+    """Largest thickness of the upper two-annuli region over every sample.
+
+    The samples and the band expression are those of `annuli.spans`
+    (linspace over [-side_x, side_x] at step <= eps/100; top from the farther
+    outer circle, bottom from the nearer inner one), evaluated at all of them.
+    """
+    nsteps = max(2, int(math.ceil(2.0 * side_x / (eps / 100.0))) + 1)
+    ax = np.abs(np.linspace(-side_x, side_x, nsteps))
+    top_off = ax + d / 2.0
+    bot_off = np.abs(ax - d / 2.0)
+    y_top = np.sqrt(np.maximum(1.0 - top_off * top_off, 0.0))
+    r_in = 1.0 - eps
+    y_bot = np.sqrt(np.maximum(r_in * r_in - bot_off * bot_off, 0.0))
+    return float(np.maximum(y_top - y_bot, 0.0).max())
+
+
 def box_corners(cx, cy, side):
     h = side / 2.0
     return [(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)]

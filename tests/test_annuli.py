@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antipodal import (
     AnnulusPairConfig,
@@ -11,10 +13,11 @@ from antipodal import (
     spans,
     thickened_cover_count,
 )
-from antipodal import kernels
+from antipodal import annuli, kernels
 from antipodal.annuli import occupancy_grid
 
-from oracles import two_circle_upper
+from conftest import LATTICE
+from oracles import band_height_dense, two_circle_upper
 
 LEMMA_GRID = [
     (d, eps)
@@ -94,6 +97,47 @@ def test_spans_bounds_across_grid(d, eps):
     w, h = spans(AnnulusPairConfig(d=d, epsilon=eps))
     assert h < 1.2 * eps
     assert 1.9 <= w * d / eps <= 2.1
+
+
+def _assert_height_is_dense_max(d, eps):
+    cfg = AnnulusPairConfig(d=d, epsilon=eps)
+    got = spans(cfg)[1]
+    assert got == band_height_dense(d, eps, intersection_vertices(cfg).side_pos.x), (d, eps)
+
+
+@pytest.mark.parametrize("d,eps", LATTICE)
+def test_height_equals_the_dense_maximum_on_the_lattice(d, eps):
+    _assert_height_is_dense_max(d, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps=st.floats(1e-4, 0.49), frac=st.floats(0.0, 1.0, exclude_min=True))
+def test_height_equals_the_dense_maximum(eps, frac):
+    """The blocks left unevaluated never held the maximum: eps < d <= 1."""
+    _assert_height_is_dense_max(eps + frac * (1.0 - eps), eps)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_height_bound_holds_for_any_band_of_the_same_shape(monkeypatch, seed):
+    """The region's own band thins away from x = 0, so its thickest samples
+    sit at or next to the block ends nearest x = 0.  This band has the same
+    shape (its top falls with |x|, its bottom rises to |x| = c and falls
+    after) but is thickest at |x| = u, inside a block, so spans must skip
+    only blocks that cannot hold the maximum."""
+    cfg = AnnulusPairConfig(d=0.5, epsilon=0.01)
+    side_x = intersection_vertices(cfg).side_pos.x
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.1, 1.0) * side_x
+    c = rng.uniform(0.0, u / 4.0)
+
+    def band(d, eps, xs):
+        ax = np.abs(xs)
+        return 1.0 - ax * ax, -2.0 * u * np.abs(ax - c)
+
+    n = max(2, int(math.ceil(2.0 * side_x / (cfg.epsilon / 100.0))) + 1)
+    top, bot = band(cfg.d, cfg.epsilon, np.linspace(-side_x, side_x, n))
+    monkeypatch.setattr(annuli, "_band_heights", band)
+    assert spans(cfg)[1] == float(np.maximum(top - bot, 0.0).max())
 
 
 @pytest.mark.parametrize("d,eps", LEMMA_GRID)

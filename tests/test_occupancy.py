@@ -15,11 +15,8 @@ from hypothesis import strategies as st
 from antipodal import AnnulusPairConfig, cover_count, kernels
 from antipodal.annuli import occupancy_grid, thickened_cover_count
 
+from conftest import LATTICE
 from oracles import occupancy_exact_brute, occupancy_raster_brute
-
-# the annuli-covers benchmark lattice: thickened covers where d >= 12*eps
-LATTICE = [(d, eps) for eps in (0.0005, 0.001, 0.002, 0.005, 0.01)
-           for d in (4 * eps, 0.05, 0.1, 0.25, 0.5, 1.0)]
 
 
 @contextlib.contextmanager
@@ -61,7 +58,7 @@ def test_benchmark_lattice_windows():
 @given(
     eps=st.floats(0.004, 0.49),
     frac=st.floats(0.0, 1.0),
-    res=st.sampled_from([1, 2, 3, 8, 16]),
+    res=st.sampled_from([1, 2, 3, 4, 8, 16]),
 )
 def test_cover_windows_at_every_resolution(eps, frac, res):
     d = min(1.0, 4 * eps + frac * (1.0 - 4 * eps))
@@ -80,9 +77,14 @@ def test_cover_windows_at_every_resolution(eps, frac, res):
     iy0=st.integers(-30, 10),
     ncol=st.integers(1, 30),
     nrow=st.integers(1, 30),
-    res=st.sampled_from([1, 2, 3, 8]),
+    res=st.sampled_from([1, 2, 3, 4, 8, 16]),
+    symmetric=st.booleans(),
 )
-def test_arbitrary_windows(d, r_in, width, pitch, ix0, iy0, ncol, nrow, res):
+def test_arbitrary_windows(d, r_in, width, pitch, ix0, iy0, ncol, nrow, res, symmetric):
+    """A symmetric window (ix0 = -ix1 - 1) at a power-of-two res is painted
+    for its right half and mirrored; every other window in full."""
+    if symmetric:
+        ix0, ncol = -ncol, 2 * ncol
     _assert_matches_oracle(
         (d, r_in, r_in + width, pitch, ix0, ix0 + ncol - 1, iy0, iy0 + nrow - 1, res)
     )
@@ -110,6 +112,16 @@ def test_inclusive_radii(d, r_in, r_out):
     args = (d, r_in, r_out, 0.25, -4, 4, -4, 4, 1)
     grid = kernels.annuli_occupancy_grid(*args)
     assert grid[[5, 5, 2, 2], [3, 4, 3, 4]].all()
+    _assert_matches_oracle(args)
+
+
+def test_symmetric_window_at_res_3_is_painted_in_full():
+    """At res 3 the samples of column -1 are not those of column 0 negated:
+    fl(1/6) * 0.1 = 0.016666666666666666 but (-1 + fl(5/6)) * 0.1 =
+    -0.016666666666666663.  A ring (d = 0) through the first one occupies
+    cell column 0 only, which a mirrored window would copy to column -1."""
+    args = (0.0, 0.023570226039551584, 0.023570226039551584, 0.1, -1, 0, 0, 0, 3)
+    assert kernels.annuli_occupancy_grid(*args).tolist() == [[False, True]]
     _assert_matches_oracle(args)
 
 
@@ -153,6 +165,22 @@ def test_small_epsilon_cover_stays_small():
         want = occupancy_raster_brute(d, r_in, r_out, pitch, a, b, iy0, iy1, res)
         assert want.any()
         assert np.array_equal(grid[:, a - ix0 : b - ix0 + 1], want)
+
+
+def test_small_epsilon_cover_memory_is_the_grid():
+    """At (d, eps) = (4e-4, 1e-4) the grid takes 6.1 MiB, and the tracemalloc
+    peak of building it stays within twice that plus 1 MiB: the runs are
+    painted straight into the boolean grid, and the transient sample columns
+    and runs of one half window take less than the grid.  The int32
+    difference array the grid was once summed from peaked at 6x the grid."""
+    cfg = AnnulusPairConfig(d=4e-4, epsilon=1e-4)
+    tracemalloc.start()
+    try:
+        grid = occupancy_grid(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid.nbytes + 2**20
 
 
 @pytest.mark.parametrize("pitch", [-0.005, 0.0, float("nan"), float("inf")])

@@ -216,10 +216,19 @@ def test_cw_rejects_nonfinite_x(bad):
 BRACKET_ROUNDING = 1e-12
 
 
+def _k4_and_k3():
+    m = np.zeros((7, 7), np.uint8)
+    m[:4, :4] = m[4:, 4:] = 1
+    return AntipodalGraph.from_dense(m - np.eye(7, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("g", [complete_graph(5), complete_graph(40), cycle_graph(8),
-                               cycle_graph(9), star_graph(9), star_graph(30)],
-                         ids=["K5", "K40", "C8", "C9", "S9", "S30"])
+                               cycle_graph(9), star_graph(9), star_graph(30),
+                               _k4_and_k3()],
+                         ids=["K5", "K40", "C8", "C9", "S9", "S30", "K4+K3"])
 def test_lambda1_bracket_is_tight_on_known_spectra(g):
+    """K4+K3: the Perron vector is ~3e-16 on K3, and floored at the smallest
+    positive float it spanned too wide a range for the prefix sums."""
     lower, upper, residual = lambda1_bracket(g)
     lam, _ = power_iteration(g)
     assert lower * (1.0 - BRACKET_ROUNDING) <= lam <= upper * (1.0 + BRACKET_ROUNDING)
