@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .geometry import ConvexPolygon, _check_epsilon
+from .geometry import ConvexPolygon, _as_coords, _check_epsilon
 
 
 # relative slack on r**2 in the near-set pruning, which covers the rounding of
@@ -58,7 +58,7 @@ class BoundaryBoxing:
     epsilon: float
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.centers, dtype=np.float64)
+        c = _as_coords(self.centers)
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
@@ -105,12 +105,15 @@ class AntipodalGraph:
     """Symmetric 0/1 box adjacency stored as maximal runs of consecutive boxes.
 
     Run r says that vertex ``row[r]`` is adjacent to every j with
-    ``lo[r] <= j < hi[r]``.  The three int64 arrays are sorted by row, then by
-    lo; a row may hold several runs (an arc that wraps past box k - 1 holds
-    two), so any graph has this form.  Degrees and the edge count come from
-    the run lengths.  `matvec` costs O(k + runs), `neighbors(i)` O(d_i); the
-    CSR views `indptr`, `indices` and `row_index` are expanded on first use
-    and cached, and `adjacency` builds a dense uint8 matrix on each access.
+    ``lo[r] <= j < hi[r]``; a row may hold several runs (an arc that wraps
+    past box k - 1 holds two), so any graph has this form.  The constructor
+    checks in O(runs) that row, lo and hi are integer arrays of one length
+    (kept as read-only int64), 0 <= row < k, 0 <= lo < hi <= k, no run covers
+    its own row, and the runs are sorted by row, each after the row's previous
+    one ends (lo[r] > hi[r - 1]), so they are disjoint and maximal; the
+    ValueError names the first bad run.  Symmetry costs O(nnz) and is not
+    checked (`from_dense` checks it).  Degrees and the edge count come from
+    the run lengths; `matvec` costs O(k + runs) and `neighbors(i)` O(d_i).
     """
 
     k: int
@@ -121,8 +124,23 @@ class AntipodalGraph:
     edge_count: int = field(init=False)
 
     def __post_init__(self):
-        deg = np.zeros(self.k, np.int64)
-        np.add.at(deg, self.row, self.hi - self.lo)
+        runs = [np.asarray(a) for a in (self.row, self.lo, self.hi)]
+        if any(a.shape != (runs[0].size,) or (a.size and a.dtype.kind not in "iu") for a in runs):
+            raise ValueError("row, lo and hi must be integer arrays of one length, got "
+                             + ", ".join(f"{a.dtype} {a.shape}" for a in runs))
+        row, lo, hi = runs = [np.ascontiguousarray(a, dtype=np.int64) for a in runs]
+        for name, a in zip(("row", "lo", "hi"), runs):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        k = self.k
+        ok = (0 <= row) & (row < k) & (0 <= lo) & (lo < hi) & (hi <= k)
+        ok &= (row < lo) | (hi <= row)
+        ok[1:] &= (row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & (lo[1:] > hi[:-1]))
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise ValueError(f"run {r} (row {row[r]}, lo {lo[r]}, hi {hi[r]}) for k = {k} is out "
+                             "of range, a loop, or not after the row's previous run")
+        deg = np.bincount(row, hi - lo, k).astype(np.int64)
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "edge_count", int(deg.sum()) // 2)
 
@@ -130,10 +148,6 @@ class AntipodalGraph:
     def run_ptr(self) -> np.ndarray:
         """The runs of row i are run_ptr[i] .. run_ptr[i + 1] - 1."""
         return np.searchsorted(self.row, np.arange(self.k + 1))
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.degrees)))
 
     @cached_property
     def indices(self) -> np.ndarray:
@@ -149,12 +163,6 @@ class AntipodalGraph:
     def neighborhood_degree_sums(self) -> np.ndarray:
         """sum_{j in N(i)} d_j for every i, exact int64."""
         return self.matvec(self.degrees)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        dense = np.zeros((self.k, self.k), dtype=np.uint8)
-        dense[self.row_index, self.indices] = 1
-        return dense
 
     def neighbors(self, i: int) -> np.ndarray:
         i = _vertex(i, self.k)
@@ -177,23 +185,14 @@ class AntipodalGraph:
         return y
 
     @classmethod
-    def from_csr(cls, k: int, indptr, indices) -> "AntipodalGraph":
-        """The graph whose row i lists neighbors indices[indptr[i]:indptr[i + 1]]."""
-        indptr = np.asarray(indptr, dtype=np.int64)
-        rows = np.repeat(np.arange(k, dtype=np.int64), np.diff(indptr))
-        cols = np.asarray(indices, dtype=np.int64)
-        return cls(k, *kernels.join_runs(rows, cols, cols + 1))
-
-    @classmethod
     def from_dense(cls, matrix) -> "AntipodalGraph":
         m = np.asarray(matrix)
-        k = m.shape[0]
-        if m.shape != (k, k):
-            raise ValueError("adjacency must be square")
-        if (m != m.T).any() or np.diagonal(m).any():
-            raise ValueError("adjacency must be symmetric with zero diagonal")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {m.shape}")
+        if ((m != 0) & (m != 1)).any() or (m != m.T).any():
+            raise ValueError("adjacency must be a symmetric 0/1 matrix")
         rows, cols = np.nonzero(m)  # row-major: sorted by row, then column
-        return cls(k, *kernels.join_runs(rows, cols, cols + 1))
+        return cls(m.shape[0], *kernels.join_runs(rows, cols, cols + 1))
 
 
 def build_graph(boxing: BoundaryBoxing) -> AntipodalGraph:

@@ -165,6 +165,25 @@ def box_adjacency_brute(cx, cy, side, eps):
     return indptr, np.nonzero(adj)[1].astype(np.int64)
 
 
+def graph_dense(g):
+    """The k x k uint8 0/1 matrix of a run-stored graph, one run at a time."""
+    m = np.zeros((g.k, g.k), dtype=np.uint8)
+    for i, lo, hi in zip(g.row.tolist(), g.lo.tolist(), g.hi.tolist()):
+        m[i, lo:hi] = 1
+    return m
+
+
+def graph_csr(g):
+    """CSR (indptr, indices) of a run-stored graph, each row's neighbors
+    listed in Python and sorted."""
+    rows = [[] for _ in range(g.k)]
+    for i, lo, hi in zip(g.row.tolist(), g.lo.tolist(), g.hi.tolist()):
+        rows[i].extend(range(lo, hi))
+    indptr = np.zeros(g.k + 1, np.int64)
+    indptr[1:] = np.cumsum([len(r) for r in rows])
+    return indptr, np.array([j for r in rows for j in sorted(r)], dtype=np.int64)
+
+
 def common_neighbors_brute(adj, i, j):
     return len(adj[i] & adj[j])
 

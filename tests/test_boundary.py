@@ -26,7 +26,12 @@ from antipodal.boundary import (
 from antipodal.geometry import PointSet, distance_to_boundary
 from conftest import complete_graph, random_graph, star_graph
 
-from oracles import box_graph_brute, box_max_distance_brute, common_neighbors_brute
+from oracles import (
+    box_graph_brute,
+    box_max_distance_brute,
+    common_neighbors_brute,
+    graph_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,19 @@ def test_boxing_rejects_epsilon_outside_the_open_half_interval(epsilon):
         BoundaryBoxing(centers, epsilon)
 
 
+@pytest.mark.parametrize("centers,match", [
+    (np.zeros((5, 3)), r"\(n, 2\) array"),
+    (np.zeros(6), r"\(n, 2\) array"),
+    (np.array([[0.0, 0.0], [0.5, math.nan], [1.0, 0.0]]), "finite"),
+    (np.zeros((2, 2)), "at least 3 boxes"),
+], ids=["three-columns", "flat", "nan", "two-boxes"])
+def test_boxing_rejects_centers_that_are_not_three_finite_points(centers, match):
+    """The first two were taken as 5 boxes (the third column ignored) and as
+    6, and a NaN centre's box silently got degree 0."""
+    with pytest.raises(ValueError, match=match):
+        BoundaryBoxing(centers, 0.1)
+
+
 def test_discretize_rejects_coarse_epsilon():
     tri = convex_hull(
         PointSet.from_points([(0, 0), (0.5, 0), (0.25, 0.4)])
@@ -114,7 +132,7 @@ def test_box_distances_vs_corner_oracle(ax, ay, bx, by, sa, sb):
 
 def test_graph_no_self_loops(circle64):
     _, g = circle64
-    assert np.diagonal(g.adjacency).sum() == 0
+    assert np.diagonal(graph_dense(g)).sum() == 0
 
 
 def test_graph_matches_brute_force_oracle(circle_hull):
@@ -155,7 +173,7 @@ def test_graph_degree_arc_relation(circle64):
 
 def test_dense_and_csr_agree(circle64):
     _, g = circle64
-    dense = g.adjacency
+    dense = graph_dense(g)
     assert dense.dtype == np.uint8 and dense.shape == (g.k, g.k)
     assert np.array_equal(np.asarray(dense.sum(axis=1), dtype=np.int64), g.degrees)
     for i in (0, 5, 101):

@@ -81,6 +81,11 @@ def test_arc_center_degenerate_when_no_cluster():
         arc_center_config(20, 0.0001)  # floor(sqrt(eps)*n) = 0
 
 
+def test_arc_center_degenerate_when_no_arc_is_left():
+    with pytest.raises(ValueError, match="only 1 arc point"):
+        arc_center_config(2, 0.3)  # floor(sqrt(eps)*n) = 1 cluster point of 2
+
+
 def test_random_disk_deterministic_and_contained():
     a = random_disk_config(1000, seed=42)
     b = random_disk_config(1000, seed=42)

@@ -25,9 +25,9 @@ from antipodal import (
     thickened_cover_count,
     write_points,
 )
-from antipodal import geometry
+from antipodal import geometry, kernels
 from antipodal.generators import arc_center_config
-from antipodal.geometry import distance_to_boundary
+from antipodal.geometry import distance_to_boundary, point_segment_distance
 
 from oracles import diameter_brute, gift_wrap_hull, pair_counts_brute, point_in_hull
 
@@ -96,6 +96,34 @@ def test_pair_counts_rejects_nonfinite_coordinates():
 def test_pair_counts_needs_two_points():
     with pytest.raises(ValueError):
         pair_counts(PointSet.from_points([(0.0, 0.0)]), 0.1)
+
+
+@pytest.mark.parametrize("coords", [np.zeros((3, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+                         ids=["three-columns", "flat", "three-d"])
+def test_point_set_rejects_coordinates_that_are_not_n_by_2(coords):
+    with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+        PointSet(coords)
+
+
+def test_normalized_point_set_is_checked_against_diameter_one():
+    assert PointSet.from_points([(0.0, 0.0), (1.0, 0.0)], normalized=True).n == 2
+    with pytest.raises(ValueError, match="diameter > 1"):
+        PointSet.from_points([(0.0, 0.0), (0.5, 0.0), (1.0 + 1e-8, 0.0)], normalized=True)
+
+
+def test_diameter_needs_two_points():
+    one = PointSet.from_points([(0.3, 0.4)])
+    with pytest.raises(ValueError, match="at least two points"):
+        diameter(one)
+    assert kernels.max_pairwise_distance_sq(one.coords) == 0.0
+
+
+def test_point_segment_distance_to_a_zero_length_segment():
+    px, py = np.array([3.0, 0.0, -1.0]), np.array([4.0, 0.0, 0.0])
+    got = point_segment_distance(px, py, 0.0, 0.0, 0.0, 0.0)
+    assert got.tolist() == [5.0, 0.0, 1.0]
+    want = [math.hypot(2.0, 4.0), 0.0, 1.0]
+    assert point_segment_distance(px, py, 0.0, 0.0, 1.0, 0.0).tolist() == want
 
 
 @st.composite

@@ -10,6 +10,7 @@ from antipodal import (
     SweepAborted,
     VacuousMarginError,
     fit_exponent,
+    harness,
     ratio_margin,
     sweep_ratio,
     sweep_spectral,
@@ -113,6 +114,24 @@ def test_sweep_aborts_with_partial_records():
         sweep_ratio(spec, (0.09, 0.0001))
     assert len(exc.value.partial) == 1
     assert exc.value.partial[0].epsilon == 0.09
+
+
+def test_spectral_sweep_aborts_with_partial_rows(monkeypatch):
+    calls = []
+
+    def failing_second(hull, eps):
+        calls.append(eps)
+        if len(calls) == 2:
+            raise RuntimeError("solver failed")
+        return real(hull, eps)
+
+    real = harness.spectral_record
+    monkeypatch.setattr(harness, "spectral_record", failing_second)
+    with pytest.raises(SweepAborted, match="failed at eps=0.0078125: solver failed") as exc:
+        sweep_spectral((1 / 64, 1 / 128, 1 / 256), hull_points=400)
+    assert calls == [1 / 64, 1 / 128]
+    assert [r.epsilon for r in exc.value.partial] == [1 / 64]
+    assert exc.value.partial == sweep_spectral((1 / 64,), hull_points=400)
 
 
 def test_sweep_spectral_rows_and_chain():

@@ -17,12 +17,14 @@ from antipodal.harness import spectral_csv_rows, sweep_spectral
 from antipodal.spectral import DEFAULT_TOL, perron_pair
 from conftest import complete_graph, cycle_graph, random_graph, star_graph
 
+from oracles import graph_dense
+
 
 def _embed(graph: AntipodalGraph, isolated: int, seed: int) -> AntipodalGraph:
     """The graph plus `isolated` edgeless vertices, randomly relabelled."""
     k = graph.k + isolated
     m = np.zeros((k, k), dtype=np.uint8)
-    m[: graph.k, : graph.k] = graph.adjacency
+    m[: graph.k, : graph.k] = graph_dense(graph)
     perm = np.random.default_rng(seed).permutation(k)
     return AntipodalGraph.from_dense(m[np.ix_(perm, perm)])
 
@@ -65,7 +67,7 @@ def test_budget_counts_matvecs():
             calls.append(1)
             return super().matvec(x)
 
-    counted = Counting.from_csr(g.k, g.indptr, g.indices)
+    counted = Counting(g.k, g.row, g.lo, g.hi)
     lam = lambda1(counted)
     used = len(calls) - 1  # the certificate's own product is outside the budget
     assert lam == pytest.approx(lambda1(g), rel=1e-12)

@@ -28,7 +28,7 @@ from antipodal.boundary import (
 )
 from conftest import complete_graph, deep_descent, random_graph, star_graph
 
-from oracles import box_adjacency_brute, max_scaled_tail_brute
+from oracles import box_adjacency_brute, graph_csr, graph_dense, max_scaled_tail_brute
 
 HULLS = {
     "circle": lambda: convex_hull(circle_config(2000)),
@@ -66,8 +66,9 @@ def _assert_matches_brute(cx, cy, side, eps):
     _assert_runs_valid(cx.shape[0], *runs)
     g = AntipodalGraph(cx.shape[0], *runs)
     b_indptr, b_indices = box_adjacency_brute(cx, cy, side, eps)
-    assert np.array_equal(g.indptr, b_indptr)
-    assert np.array_equal(g.indices, b_indices)
+    indptr, indices = graph_csr(g)
+    assert np.array_equal(indptr, b_indptr)
+    assert np.array_equal(indices, b_indices)
     assert np.array_equal(g.degrees, np.diff(b_indptr))
     return runs
 
@@ -137,13 +138,71 @@ def test_lattice_tie_runs_match_brute(base, ties, chunk, rnd, deep):
         _assert_matches_brute(xy[:, 0].copy(), xy[:, 1].copy(), 1 / 64, 1 / 16)
 
 
-def test_from_csr_and_from_dense_give_the_same_runs():
+def test_from_dense_gives_the_same_runs():
     boxing = _boxing("random-disk", 1 / 64, shuffle_seed=1)
     g = build_graph(boxing)
-    for other in (AntipodalGraph.from_csr(g.k, g.indptr, g.indices),
-                  AntipodalGraph.from_dense(g.adjacency)):
-        for name in ("row", "lo", "hi", "degrees"):
-            assert np.array_equal(getattr(other, name), getattr(g, name))
+    other = AntipodalGraph.from_dense(graph_dense(g))
+    for name in ("row", "lo", "hi", "degrees"):
+        assert np.array_equal(getattr(other, name), getattr(g, name))
+
+
+@pytest.mark.parametrize("matrix,match", [
+    (np.zeros((2, 3), np.uint8), "square"),
+    (np.zeros(4, np.uint8), "square"),
+    ([[0, 2], [2, 0]], "0/1"),
+    ([[0, -1], [-1, 0]], "0/1"),
+    ([[0, 0.5], [0.5, 0]], "0/1"),
+    ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], "symmetric"),
+    ([[1, 1], [1, 0]], r"run 0 \(row 0, lo 0, hi 2\).*a loop"),
+], ids=["non-square", "flat", "two", "minus-one", "half", "asymmetric", "diagonal"])
+def test_from_dense_rejects_what_is_not_a_simple_graph(matrix, match):
+    """A weight of 2, -1 or 0.5 once became an unweighted edge, whose λ1
+    belongs to a different graph; a diagonal entry is a loop run."""
+    with pytest.raises(ValueError, match=match):
+        AntipodalGraph.from_dense(matrix)
+
+
+# (k, row, lo, hi) that break the run contract, and the error each one names
+_BAD_RUNS = {
+    # the runs are unsorted: neighbors(0) read [0, 1]
+    "unsorted-rows": ((3, [1, 0], [0, 1], [1, 2]), r"run 1 \(row 0, lo 1, hi 2\)"),
+    "descending-rows": ((4, [2, 0], [0, 2], [1, 3]), r"run 1 \(row 0, lo 2, hi 3\)"),
+    # a run past k: degrees [4, 0, 0] and an IndexError in matvec
+    "past-k": ((3, [0], [1], [5]), r"run 0 \(row 0, lo 1, hi 5\) for k = 3"),
+    "row-negative": ((3, [-1], [1], [2]), r"run 0 \(row -1"),
+    "row-k": ((3, [3], [0], [1]), r"run 0 \(row 3"),
+    "lo-negative": ((3, [1], [-1], [0]), r"run 0 \(row 1, lo -1"),
+    "empty-run": ((3, [0], [2], [2]), r"run 0 \(row 0, lo 2, hi 2\)"),
+    "lo-above-hi": ((3, [0], [2], [1]), r"run 0 \(row 0, lo 2, hi 1\)"),
+    "loop": ((3, [1], [0], [2]), r"run 0 \(row 1, lo 0, hi 2\)"),
+    "overlapping": ((5, [0, 0], [1, 2], [3, 4]), r"run 1 \(row 0, lo 2, hi 4\)"),
+    "touching": ((4, [0, 0], [1, 2], [2, 3]), r"run 1 \(row 0, lo 2, hi 3\)"),
+    "unsorted-lo": ((5, [0, 0, 1], [3, 1, 2], [4, 2, 4]), r"run 1 \(row 0, lo 1, hi 2\)"),
+    "two-bad-runs": ((4, [0, 2, 3], [2, 3, 0], [2, 4, 5]), r"run 0 \(row 0, lo 2, hi 2\)"),
+    "lengths": ((3, [0], [1, 2], [2, 3]), "integer arrays of one length"),
+    "float": ((3, [0.0], [1.0], [2.0]), "integer arrays of one length"),
+    "bool": ((3, [False], [True], [True]), "integer arrays of one length"),
+    "two-d": ((3, [[0]], [[1]], [[2]]), "integer arrays of one length"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_RUNS))
+def test_constructor_rejects_runs_that_break_the_contract(name):
+    args, match = _BAD_RUNS[name]
+    with pytest.raises(ValueError, match=match):
+        AntipodalGraph(*args)
+
+
+def test_constructor_keeps_valid_runs_read_only_int64():
+    """Any integer dtype and empty runs of any dtype pass; the symmetry of
+    the runs is not checked."""
+    g = AntipodalGraph(5, np.array([0, 0, 1], np.uint8), [1, 3, 2], [2, 5, 3])
+    assert g.degrees.tolist() == [3, 1, 0, 0, 0] and g.edge_count == 2
+    for a in (g.row, g.lo, g.hi):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert g.neighbors(0).tolist() == [1, 3, 4]
+    empty = AntipodalGraph(3, [], [], [])
+    assert empty.degrees.tolist() == [0, 0, 0] and empty.row.dtype == np.int64
 
 
 @given(st.sampled_from(sorted(HULLS)), st.sampled_from(EPSILONS),
@@ -151,7 +210,7 @@ def test_from_csr_and_from_dense_give_the_same_runs():
 @settings(max_examples=20, deadline=None)
 def test_join_runs_takes_runs_in_any_order(hull, eps, shuffle_seed, seed):
     """Maximal runs cut into touching pieces and shuffled join back into
-    themselves, and from_csr takes each row's neighbors in any order."""
+    themselves."""
     g = build_graph(_boxing(hull, eps, shuffle_seed))
     rng = np.random.default_rng(seed)
     cut = (rng.random(g.row.shape[0]) < 0.5) & (g.hi - g.lo >= 2)
@@ -165,10 +224,6 @@ def test_join_runs_takes_runs_in_any_order(hull, eps, shuffle_seed, seed):
     joined = kernels.join_runs(row[perm], lo[perm], hi[perm])
     for got, want in zip(joined, (g.row, g.lo, g.hi)):
         assert np.array_equal(got, want)
-    order = np.lexsort((rng.random(g.indices.shape[0]), g.row_index))
-    other = AntipodalGraph.from_csr(g.k, g.indptr, g.indices[order])
-    for name in ("row", "lo", "hi"):
-        assert np.array_equal(getattr(other, name), getattr(g, name))
 
 
 @pytest.mark.parametrize("make", [
@@ -187,16 +242,17 @@ def test_neighbors_read_the_row_runs_only(make):
     common_neighbor_row(g, 0)
     tail_counts(g, 0, np.array([0]))
     assert "indices" not in vars(g)
+    indptr, indices = graph_csr(g)
     for i, got in enumerate(rows):
         assert got.dtype == np.int64
-        assert np.array_equal(got, g.indices[g.indptr[i] : g.indptr[i + 1]])
+        assert np.array_equal(got, indices[indptr[i] : indptr[i + 1]])
 
 
 @pytest.mark.parametrize("shuffle_seed", [None, 2])
 @pytest.mark.parametrize("hull", ["circle", "random-disk"])
 def test_matvec_matches_dense_product(hull, shuffle_seed):
     g = build_graph(_boxing(hull, 1 / 64, shuffle_seed))
-    dense = g.adjacency.astype(np.int64)
+    dense = graph_dense(g).astype(np.int64)
     rng = np.random.default_rng(3)
     x = rng.integers(-10**6, 10**6, g.k)
     got = g.matvec(x)
@@ -224,7 +280,7 @@ def test_tail_matches_oracle(monkeypatch, hull, eps, shuffle_seed, factor, block
     key = hull, eps, shuffle_seed, factor
     if key not in _tails:
         _tails[key] = max_scaled_tail_brute(boxing.centers, boxing.side,
-                                            boxing.epsilon, g.adjacency, factor)
+                                            boxing.epsilon, graph_dense(g), factor)
     expected = _tails[key]
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
     assert max_scaled_tail(boxing, g, factor) == expected

@@ -24,6 +24,8 @@ from antipodal import (
 from antipodal.spectral import DEFAULT_MAX_ITER, perron_pair, sqrt_degree_certificate
 from conftest import complete_graph, cycle_graph, random_graph, star_graph
 
+from oracles import graph_dense
+
 
 def test_lambda1_known_spectra():
     assert lambda1(complete_graph(5)) == pytest.approx(4.0, abs=1e-6)
@@ -50,12 +52,15 @@ def test_lambda1_nonconvergence_carries_estimate():
     with pytest.raises(PowerIterationError) as exc:
         lambda1(star_graph(9), max_iter=1)
     assert math.isfinite(exc.value.estimate)
+    with pytest.raises(PowerIterationError) as exc:
+        power_iteration(complete_graph(2), max_iter=1)
+    assert exc.value.estimate == pytest.approx(1.0, rel=1e-15)
 
 
 def test_lambda1_permutation_invariance():
     g = random_graph(40, 0.3, seed=17)
     perm = np.random.default_rng(0).permutation(40)
-    m = g.adjacency[np.ix_(perm, perm)]
+    m = graph_dense(g)[np.ix_(perm, perm)]
     g2 = AntipodalGraph.from_dense(m)
     assert lambda1(g2) == pytest.approx(lambda1(g), abs=1e-8)
 
@@ -100,6 +105,13 @@ def test_cw_rejects_nonpositive_x():
         collatz_wielandt_bound(g, -np.ones(4))
 
 
+def test_cw_rejects_x_of_the_wrong_shape():
+    g = complete_graph(4)
+    for x in (np.ones(3), np.ones(5), np.ones((4, 1))):
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            collatz_wielandt_bound(g, x)
+
+
 @given(st.integers(0, 50), st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
 @settings(max_examples=30, deadline=None)
 def test_cw_invariant_under_power_of_two_rescaling(seed, alpha):
@@ -137,6 +149,24 @@ def test_bound_chain_star_and_cycle():
             (2.0, 2.0, 2.0), abs=1e-6
         )
         assert r.trace_bound == pytest.approx(math.sqrt(2 * k), rel=1e-12)
+
+
+def test_bound_chain_refuses_an_out_of_order_chain(monkeypatch):
+    """A λ1 above CW(√d) = 3 on the star K1,9 means a number is wrong, and
+    the chain raises rather than report it."""
+    monkeypatch.setattr("antipodal.spectral.lambda1", lambda G, tol, max_iter: 4.0)
+    with pytest.raises(RuntimeError, match="ordering violated"):
+        bound_chain(star_graph(9))
+
+
+def test_perron_pair_refuses_a_vector_that_fails_the_certificate(monkeypatch):
+    """A solver answer that is not an eigenvector (the start vector of the
+    path P3) fails ||Mv - λv|| <= 10·tol·λ·||v||."""
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh",
+                        lambda op, **kw: (np.ones(1), kw["v0"][:, None]))
+    with pytest.raises(PowerIterationError, match="fails the certificate") as exc:
+        perron_pair(star_graph(2))
+    assert exc.value.estimate == pytest.approx(4 / 3, rel=1e-15)
 
 
 def test_bound_chain_ordering_random_graphs():
@@ -240,7 +270,7 @@ def test_lambda1_bracket_contains_the_dense_eigenvalue():
     boxing = discretize_boundary(convex_hull(circle_config(2000)), 1 / 32)
     for g in (build_graph(boxing), random_graph(60, 0.2, seed=5)):
         lower, upper, residual = lambda1_bracket(g)
-        exact = float(np.linalg.eigvalsh(g.adjacency.astype(np.float64)).max())
+        exact = float(np.linalg.eigvalsh(graph_dense(g).astype(np.float64)).max())
         assert lower * (1.0 - BRACKET_ROUNDING) <= exact <= upper * (1.0 + BRACKET_ROUNDING)
         assert abs(exact - lower) <= residual + BRACKET_ROUNDING * exact
         assert upper <= collatz_wielandt_bound(g, sqrt_degree_certificate(g)) * (

@@ -26,7 +26,7 @@ from antipodal.boundary import BoundaryBoxing, max_scaled_tail, near_runs
 from antipodal.geometry import PointSet
 from conftest import deep_descent, random_graph, star_graph
 
-from oracles import max_scaled_tail_brute
+from oracles import graph_dense, max_scaled_tail_brute
 
 def thin_ellipse_config(n: int) -> PointSet:
     """A convex curve 1 wide and 0.02 high: boxes on one long side are near
@@ -68,7 +68,7 @@ def graphs():
 
 def _brute(boxing, g, factor):
     return max_scaled_tail_brute(boxing.centers, boxing.side, boxing.epsilon,
-                                 g.adjacency, factor)
+                                 graph_dense(g), factor)
 
 
 @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0, 100.0])
@@ -245,7 +245,7 @@ def test_far_segments_match_dense_rows(inputs, factor, block_elems):
     W whose entry of A·A is that count, which the maximum alone can hide."""
     boxing, g = inputs
     k = g.k
-    a = g.adjacency.astype(np.int64)
+    a = graph_dense(g).astype(np.int64)
     counts = a @ a
     for i, (count, length) in enumerate(_far_segment_rows(boxing, g, factor, block_elems)):
         far = np.ones(k, bool)
