@@ -16,7 +16,10 @@ near sets W are runs too, built once by the same pair descent, and one
 running sum over the sorted events of the neighbors' runs (±1) and of the
 near runs (∓(k + 1)) yields each row of A·A outside W as piecewise-constant
 segments, a block of rows at a time.  A graph run's neighbors hold one range
-of run indices, so the sweep never lists them one by one.
+of run indices, so the sweep never lists them one by one.  When the runs
+show that every row and every near set is one cyclic arc, monotone in the
+row, a row's count at any column is three `searchsorted` counts, and the
+sweep visits only the events outside W.
 """
 
 from __future__ import annotations
@@ -111,9 +114,12 @@ class AntipodalGraph:
     (kept as read-only int64), 0 <= row < k, 0 <= lo < hi <= k, no run covers
     its own row, and the runs are sorted by row, each after the row's previous
     one ends (lo[r] > hi[r - 1]), so they are disjoint and maximal; the
-    ValueError names the first bad run.  Symmetry costs O(nnz) and is not
-    checked (`from_dense` checks it).  Degrees and the edge count come from
-    the run lengths; `matvec` costs O(k + runs) and `neighbors(i)` O(d_i).
+    ValueError names the first bad run.  Full symmetry costs O(nnz) and is
+    checked by `from_dense`; the constructor checks in O(k + runs) that each
+    vertex's in-degree equals its degree, which any one-way edge breaks
+    unless other one-way edges balance it.  Degrees and the edge count come
+    from the run lengths; `matvec` costs O(k + runs) and `neighbors(i)`
+    O(d_i).
     """
 
     k: int
@@ -141,6 +147,13 @@ class AntipodalGraph:
             raise ValueError(f"run {r} (row {row[r]}, lo {lo[r]}, hi {hi[r]}) for k = {k} is out "
                              "of range, a loop, or not after the row's previous run")
         deg = np.bincount(row, hi - lo, k).astype(np.int64)
+        # a symmetric graph's in-degrees (a difference array over the runs)
+        # are its degrees
+        indeg = np.cumsum(np.bincount(lo, minlength=k + 1) - np.bincount(hi, minlength=k + 1))
+        if (indeg[:k] != deg).any():
+            j = int(np.argmax(indeg[:k] != deg))
+            raise ValueError(f"vertex {j} has degree {deg[j]} but in-degree {indeg[j]}: "
+                             "the runs are not symmetric")
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "edge_count", int(deg.sum()) // 2)
 
@@ -313,26 +326,141 @@ def neighborhood_degree_sum(G: AntipodalGraph, i: int) -> int:
     return int(G.neighborhood_degree_sums[i])
 
 
+def _cyclic_arcs(row, lo, hi, ptr, k: int):
+    """Each row's runs as one cyclic arc (start, length), int64: no run gives
+    (0, 0), one run [lo, hi) gives (lo, hi - lo) and the two runs [0, x) and
+    [y, k) give (y, x + k - y); None when a row holds other runs."""
+    n = np.diff(ptr)
+    one, two = ptr[:-1][n == 1], ptr[:-1][n == 2]
+    if (n > 2).any() or (lo[two] != 0).any() or (hi[two + 1] != k).any():
+        return None
+    start = np.zeros(k, np.int64)
+    length = np.zeros(k, np.int64)
+    start[n == 1], length[n == 1] = lo[one], hi[one] - lo[one]
+    start[n == 2], length[n == 2] = lo[two + 1], hi[two] + k - lo[two + 1]
+    return start, length
+
+
+def _arc_plan(G: AntipodalGraph, near):
+    """The far intervals of every row when every graph row is a nonempty
+    cyclic arc [s_i, s_i + d_i) and every near set W_i a cyclic arc, and the
+    unrolled arcs are monotone; None otherwise.  O(k + runs), from the runs
+    alone.
+
+    S unrolls the arc starts (k added at each backward step) and E = S + d;
+    on the doubled index axis (S and E again, plus k) both must never step
+    back.  Row i's neighbors are then the index range s_i .. s_i + d_i - 1 of
+    that axis, and when the last one's start is below x_i + k, x_i = S[s_i],
+    every neighbor m covers [S[m], E[m]) of row i's window [x_i, x_i + k),
+    wrapping to [x_i, E[m] - k) once E[m] passes the window end.  So the
+    count of column x of the window, |N(i) & N(x mod k)|, is
+    #{S[m] <= x} - #{E[m] <= x} + #{E[m] - k > x}, three `searchsorted`
+    counts over sorted ranges.  W_i leaves one or two intervals [a, b) of the
+    window; each gets its count at a, the index ranges of the opens S[m],
+    closes E[m] and wrapped closes E[m] - k strictly inside it, and its count
+    at b - 1.
+    """
+    k = G.k
+    nrow, nlo, nhi, nptr = near
+    arcs = _cyclic_arcs(G.row, G.lo, G.hi, G.run_ptr, k)
+    warcs = _cyclic_arcs(nrow, nlo, nhi, nptr, k)
+    if arcs is None or warcs is None or (arcs[1] == 0).any():
+        return None
+    s, d = arcs
+    S = s.copy()
+    S[1:] += k * np.cumsum(s[1:] < s[:-1])
+    S = np.concatenate([S, S + k])
+    E = S + np.concatenate([d, d])
+    if (np.diff(S) < 0).any() or (np.diff(E) < 0).any():
+        return None
+    x = S[s]
+    if (S[s + d - 1] >= x + k).any():
+        return None
+    ws, wl = warcs
+    wa = np.where(wl > 0, x + (ws - x) % k, x)
+    we = wa + wl
+    # the window minus W: [x, wa) and [we, x + k), or [we - k, wa) when W wraps
+    a = np.column_stack([np.where(we > x + k, we - k, x), we]).ravel()
+    b = np.column_stack([wa, x + k]).ravel()
+    keep = a < b
+    row = np.repeat(np.arange(k), 2)[keep]
+    a, b = a[keep], b[keep]
+    lo, hi = s[row], s[row] + d[row]
+
+    def count(v, at, side):
+        return np.clip(np.searchsorted(v, at, side), lo, hi)
+
+    opens = count(S, a, "right"), count(S, b, "left")
+    closes = count(E, a, "right"), count(E, b, "left")
+    wraps = count(E, a + k, "right"), count(E, b + k, "left")
+    first = opens[0] - closes[0] + hi - wraps[0]
+    inside = [r1 - r0 for r0, r1 in (opens, closes, wraps)]
+    last = first + inside[0] - inside[1] - inside[2]
+    items = np.bincount(row, 2 + sum(inside), k).astype(np.int64)
+    ptr = np.searchsorted(row, np.arange(k + 1))
+    return S, E, ptr, row, x[row], a, b, opens, closes, wraps, first, last, items
+
+
+def _arc_segments(k: int, plan, i0: int, i1: int):
+    """`_far_segments` from an `_arc_plan`: a start marker (the count at a)
+    and an end marker (minus the count at b - 1) per far interval, and ±1 at
+    the opens and closes inside it, sorted by one key per block."""
+    S, E, ptr, row, x, a, b, opens, closes, wraps, first, last, _ = plan
+    t = slice(ptr[i0], ptr[i1])
+    base = (row[t] - i0) * (k + 1) - x[t]
+    # key = 4 * (row * (k + 1) + position - x) + kind: 0 / 1 close / open,
+    # 2 / 3 start / end marker
+    parts = [(base + a[t]) * 4 + 2, (base + b[t]) * 4 + 3]
+    for v, shift, kind, (r0, r1) in ((S, 0, 1, opens), (E, 0, 0, closes), (E, k, 0, wraps)):
+        idx = kernels.expand_runs(r0[t], r1[t])
+        parts.append((np.repeat(base - shift, r1[t] - r0[t]) + v[idx]) * 4 + kind)
+    events = np.concatenate(parts)
+    events.sort()
+    kind = events & 3
+    steps = np.array([-1, 1, 0, 0])[kind]
+    # the markers sort in interval order
+    steps[kind == 2] = first[t]
+    steps[kind == 3] = -last[t]
+    return _positive_segments(events, steps, k)
+
+
+def _positive_segments(events, steps, k: int):
+    """The segments (row, count, length) between consecutive sorted keys
+    4 * (row * (k + 1) + position) + kind where the running sum of the steps
+    is positive; a row's steps end with the sum back at 0, so a segment never
+    crosses into the next row."""
+    count = np.cumsum(steps)[:-1]
+    key = events >> 2
+    length = np.diff(key)
+    far = (count > 0) & (length > 0)
+    return key[:-1][far] // (k + 1), count[far], length[far]
+
+
 def _far_segments(G: AntipodalGraph, near, i0: int, i1: int):
     """Rows i0 .. i1 - 1 of A·A outside the near sets, as segments
     (row - i0, count, length) of consecutive j with one count > 0, in row
-    order.
+    order.  ``near`` is (row, lo, hi, ptr, plan) of the near runs; with an
+    `_arc_plan` only the events inside the far intervals are swept
+    (`_arc_segments`): an event inside W_i moves only the count that enters a
+    far interval, and that count is computed at the interval's start.
 
-    Every run of every m in N(i) steps row i's running sum by +1 at its lo
-    and -1 at its hi, and every near run of i by -(k + 1) at its lo and
-    +(k + 1) at its hi.  A count is at most k and a row's near runs are
+    Otherwise every run of every m in N(i) steps row i's running sum by +1 at
+    its lo and -1 at its hi, and every near run of i by -(k + 1) at its lo
+    and +(k + 1) at its hi.  A count is at most k and a row's near runs are
     disjoint, so the sorted sum is positive exactly where j is outside W
     with a count > 0, and there it is the count.  The runs are sorted by
     row, so the runs of the neighbors lo .. hi - 1 of a graph run are the
     run indices run_ptr[lo] .. run_ptr[hi] - 1, one range per graph run.
     """
     k = G.k
+    nrow, nlo, nhi, nptr, plan = near
+    if plan is not None:
+        return _arc_segments(k, plan, i0, i1)
     ptr = G.run_ptr
     r0, r1 = ptr[i0], ptr[i1]
     first, last = ptr[G.lo[r0:r1]], ptr[G.hi[r0:r1]]
     runs = kernels.expand_runs(first, last)
     base = np.repeat((G.row[r0:r1] - i0) * (k + 1), last - first)
-    nrow, nlo, nhi, nptr = near
     n = slice(nptr[i0], nptr[i1])
     nbase = (nrow[n] - i0) * (k + 1)
     # key = 4 * (row * (k + 1) + position) + kind: 0 / 1 close / open a
@@ -342,13 +470,7 @@ def _far_segments(G: AntipodalGraph, near, i0: int, i1: int):
              (nbase + nhi[n]) * 4 + 2, (nbase + nlo[n]) * 4 + 3]
     events = np.concatenate(parts)
     events.sort()
-    count = np.cumsum(steps[events & 3])[:-1]
-    key = events >> 2
-    length = np.diff(key)
-    # a row's events end with the sum back at 0, so a far segment never
-    # crosses into the next row
-    far = (count > 0) & (length > 0)
-    return key[:-1][far] // (k + 1), count[far], length[far]
+    return _positive_segments(events, steps[events & 3], k)
 
 
 def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
@@ -357,27 +479,34 @@ def max_scaled_tail(boxing: BoundaryBoxing, G: AntipodalGraph,
 
     T_s counts the j outside near_set_W(boxing, i, factor) with
     |N(i) & N(j)| >= s.  The near sets come once, as runs (`near_runs`), and
-    the counts as rows of A·A, built a block of rows at a time by one running
-    sum over the events of the neighbors' runs and of the near runs, without
-    forming A·A or expanding a single entry (`_far_segments`).  T_s is
-    piecewise constant in s: sorted by count, largest first, each row's far
-    segments give T at each count as the cumulative length, so by the
-    layer-cake identity max_s s * T_s is the max of count times that
-    cumulative length, an exact integer.
+    the counts as rows of A·A, built a block of rows at a time by a running
+    sum over sorted events, without forming A·A or expanding a single entry
+    (`_far_segments`).  T_s is piecewise constant in s: sorted by count,
+    largest first, each row's far segments give T at each count as the
+    cumulative length, so by the layer-cake identity max_s s * T_s is the
+    max of count times that cumulative length, an exact integer.
 
-    Row i sweeps two events per run of each m in N(i) and two per near run
-    of i, so blocks are cut on the running sum of those event counts to hold
-    at most ``kernels._per_block()`` events (a one-row block may hold more).
+    When the runs certify that every row and every near set is one cyclic
+    arc, monotone in i (`_arc_plan`, checked once in O(k + runs)), row i
+    sweeps only the events inside its far intervals and two markers per
+    interval, and blocks hold at most ``kernels._per_block(2)`` of them.
+    Otherwise row i sweeps two events per run of each m in N(i) and two per
+    near run of i, and blocks hold at most ``kernels._per_block()`` events.
+    Either way a one-row block may hold more, and the value is the same.
     """
     if boxing.k != G.k:
         raise ValueError(f"boxing has {boxing.k} boxes but the graph has {G.k} vertices")
     k = G.k
     nrow, nlo, nhi = near_runs(boxing, factor)
     nptr = np.searchsorted(nrow, np.arange(k + 1))
-    near = nrow, nlo, nhi, nptr
+    plan = _arc_plan(G, (nrow, nlo, nhi, nptr))
+    near = nrow, nlo, nhi, nptr, plan
+    if plan is None:
+        items, budget = 2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), kernels._per_block()
+    else:
+        items, budget = plan[-1], kernels._per_block(2)
     bound = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(2 * (G.matvec(np.diff(G.run_ptr)) + np.diff(nptr)), out=bound[1:])
-    budget = kernels._per_block()
+    np.cumsum(items, out=bound[1:])
     best = 0
     i0 = 0
     while i0 < k:

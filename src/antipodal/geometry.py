@@ -145,8 +145,14 @@ def _cross(o, a, b) -> float:
 
 
 def _sorted_distinct(coords: np.ndarray) -> np.ndarray:
-    """Rows sorted by x, then y, each kept once (0.0 and -0.0 are equal)."""
-    c = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+    """Rows sorted by x, then y, each kept once (0.0 and -0.0 are equal): one
+    argsort of x when no two x are equal, which leaves nothing to break ties
+    or merge, and a lexsort of (x, y) otherwise."""
+    x = coords[:, 0]
+    c = coords[np.argsort(x)]
+    if (c[1:, 0] != c[:-1, 0]).all():
+        return c
+    c = coords[np.lexsort((coords[:, 1], x))]
     distinct = np.ones(c.shape[0], bool)
     distinct[1:] = (c[1:] != c[:-1]).any(axis=1)
     return c[distinct]
@@ -181,19 +187,21 @@ def _monotone_chain(P: np.ndarray) -> np.ndarray:
 # The checks call `_cross` itself on float64 arrays of x and y, which NumPy
 # rounds as Python rounds floats (one rounding per operation, no fused
 # multiply-add), so they are the chain's own comparisons and it returns C.
-def _replayed_half(P: np.ndarray) -> np.ndarray | None:
-    """Indices into P of the chain's half hull over P, or None when the
-    replay cannot certify the guess."""
-    T = P.T  # T[:, i] is a point, or the points at the indices i
-    on = _cross(T[:, 0], T[:, -1], T) < 0.0
+def _replayed_half(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """Indices into the points (x, y) of the chain's half hull over them, or
+    None when the replay cannot certify the guess."""
+    def at(i):
+        return x[i], y[i]
+
+    on = _cross(at(0), at(-1), (x, y)) < 0.0
     on[[0, -1]] = True
     c = np.flatnonzero(on)
     q = np.flatnonzero(~on)
     j = np.cumsum(on)[q] - 1
     jb, qb = j[j >= 1], q[j >= 1]
-    if ((_cross(T[:, c[:-2]], T[:, c[1:-1]], T[:, c[2:]]) > 0.0).all()
-            and (_cross(T[:, c[jb - 1]], T[:, c[jb]], T[:, qb]) > 0.0).all()
-            and (_cross(T[:, c[j]], T[:, q], T[:, q + 1]) <= 0.0).all()):
+    if ((_cross(at(c[:-2]), at(c[1:-1]), at(c[2:])) > 0.0).all()
+            and (_cross(at(c[jb - 1]), at(c[jb]), at(qb)) > 0.0).all()
+            and (_cross(at(c[j]), at(q), at(q + 1)) <= 0.0).all()):
         return c
     return None
 
@@ -204,20 +212,23 @@ def convex_hull(ps: PointSet) -> ConvexPolygon:
     The vertices are the Python chain's, bit for bit: they come from a NumPy
     guess that a vectorised replay of the chain's own float comparisons
     certifies for both halves, or from the chain itself when the replay fails
-    (interior points usually make it fail).  Raises DegenerateHullError when
-    all points are collinear.
+    (interior points usually make it fail).  Both halves replay on contiguous
+    copies of x and y, the upper one over the points reversed.  Raises
+    DegenerateHullError when all points are collinear.
     """
     if ps.n < 3:
         raise ValueError("convex hull needs at least three points")
     P = _sorted_distinct(ps.coords)
-    if P.shape[0] < 3:
+    n = P.shape[0]
+    if n < 3:
         raise DegenerateHullError("fewer than three distinct points")
+    x, y = np.array(P.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = _replayed_half(P), _replayed_half(P[::-1])
+        lower, upper = _replayed_half(x, y), _replayed_half(x[::-1].copy(), y[::-1].copy())
     if lower is None or upper is None or lower.size + upper.size < 5:
         hull = _monotone_chain(P)
     else:
-        hull = np.concatenate([P[lower[:-1]], P[::-1][upper[:-1]]])
+        hull = P[np.concatenate([lower[:-1], n - 1 - upper[:-1]])]
     if hull.shape[0] < 3:
         raise DegenerateHullError("all points are collinear")
     return ConvexPolygon(hull)

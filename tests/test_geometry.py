@@ -342,6 +342,40 @@ def test_hull_of_convex_inputs_skips_the_python_chain(make):
     assert got.tobytes() == want.tobytes()
 
 
+def _lexsorted_distinct(coords):
+    """The rows sorted by x, then y, by one stable lexsort, each kept once."""
+    c = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+    distinct = np.ones(c.shape[0], bool)
+    distinct[1:] = (c[1:] != c[:-1]).any(axis=1)
+    return c[distinct]
+
+
+@pytest.mark.parametrize("make, ties", [
+    (lambda: reuleaux_boundary_config(10_000, seed=1).coords, False),
+    (lambda: np.random.default_rng(3).normal(size=(500, 2)), False),
+    # the circle's mirror images share x, and so do a grid's columns
+    (lambda: circle_config(10_000).coords, True),
+    (lambda: np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 2], [0, 0]], float), True),
+    # 0.0 and -0.0 are one x; the duplicate row keeps its first sign
+    (lambda: np.array([[0.0, 1.0], [-0.0, -1.0], [1.0, 0.0], [-1.0, 0.5]]), True),
+    (lambda: np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.5]]), True),
+], ids=["reuleaux", "normal", "circle", "grid", "signed-zero-x", "signed-zero-row"])
+def test_hull_sorts_by_x_and_lexsorts_only_ties(make, ties):
+    """One argsort of x orders distinct x; a lexsort runs only when two x
+    are equal, and either way the rows and the hull are the lexsort's."""
+    coords = make()
+    calls = []
+    lexsort = np.lexsort
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+        got = geometry._sorted_distinct(coords)
+    assert bool(calls) == ties
+    want = _lexsorted_distinct(coords)
+    assert got.tobytes() == want.tobytes()
+    hull = convex_hull(PointSet(coords)).vertices
+    assert hull.tobytes() == geometry._monotone_chain(want).tobytes()
+
+
 def test_hull_collinear_is_distinct_error():
     ps = PointSet.from_points([(0, 0), (0.3, 0.3), (0.7, 0.7), (1, 1)])
     with pytest.raises(DegenerateHullError):

@@ -183,6 +183,10 @@ _BAD_RUNS = {
     "float": ((3, [0.0], [1.0], [2.0]), "integer arrays of one length"),
     "bool": ((3, [False], [True], [True]), "integer arrays of one length"),
     "two-d": ((3, [[0]], [[1]], [[2]]), "integer arrays of one length"),
+    # one-way edges: edge_count 0 with degrees [1, 0], and an eigensolver
+    # started from a zero vector
+    "one-way": ((2, [0], [1], [2]), "vertex 0 has degree 1 but in-degree 0"),
+    "one-way-pair": ((3, [0], [1], [3]), "vertex 0 has degree 2 but in-degree 0"),
 }
 
 
@@ -194,10 +198,9 @@ def test_constructor_rejects_runs_that_break_the_contract(name):
 
 
 def test_constructor_keeps_valid_runs_read_only_int64():
-    """Any integer dtype and empty runs of any dtype pass; the symmetry of
-    the runs is not checked."""
-    g = AntipodalGraph(5, np.array([0, 0, 1], np.uint8), [1, 3, 2], [2, 5, 3])
-    assert g.degrees.tolist() == [3, 1, 0, 0, 0] and g.edge_count == 2
+    """Any integer dtype and empty runs of any dtype pass."""
+    g = AntipodalGraph(5, np.array([0, 0, 1, 3, 4], np.uint8), [1, 3, 0, 0, 0], [2, 5, 1, 1, 1])
+    assert g.degrees.tolist() == [3, 1, 0, 1, 1] and g.edge_count == 3
     for a in (g.row, g.lo, g.hi):
         assert a.dtype == np.int64 and not a.flags.writeable
     assert g.neighbors(0).tolist() == [1, 3, 4]

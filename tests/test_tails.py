@@ -1,8 +1,9 @@
 """The tail constant max_{i,s} s * T_s / k, computed by one event sweep over
 the runs of A·A and of the near sets, against a vertex-by-vertex oracle,
 across block sizes, and against `tail_counts`; each row's far segments
-against the dense row of A·A; and the near sets as runs against
-`near_set_W`."""
+against the dense row of A·A; the near sets as runs against `near_set_W`;
+and the arc path's far counts against the events path's, with the inputs
+that take each path."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from antipodal import (
     AntipodalGraph,
+    arc_center_config,
     boundary,
     build_graph,
     circle_config,
@@ -38,6 +40,8 @@ def thin_ellipse_config(n: int) -> PointSet:
 HULLS = {
     "circle": lambda: convex_hull(circle_config(10_000)),
     "reuleaux": lambda: convex_hull(reuleaux_boundary_config(2000, seed=1)),
+    "reuleaux-2": lambda: convex_hull(reuleaux_boundary_config(2000, seed=2)),
+    "reuleaux-3": lambda: convex_hull(reuleaux_boundary_config(2000, seed=3)),
     "random-disk": lambda: convex_hull(random_disk_config(2000, seed=1)),
     "thin": lambda: convex_hull(thin_ellipse_config(400)),
 }
@@ -265,3 +269,115 @@ def test_near_runs_below_the_normal_range():
     boxing = BoundaryBoxing(centers, eps)
     assert near_set_W(boxing, 0, 2.5e-162 / eps).size == 32
     _assert_near_runs_match(boxing, 2.5e-162 / eps)
+
+
+# ---------------------------------------------------------------------------
+# the arc path
+# ---------------------------------------------------------------------------
+
+ARC_HULLS = ["circle", "reuleaux", "reuleaux-2", "reuleaux-3", "random-disk"]
+ARC_EPSILONS = [1 / 64, 1 / 128, 1 / 256, 1 / 512, 1 / 1024]
+
+
+def _merged(row, count, length, k):
+    """Far segments as sorted (row, count) keys and the total length of each:
+    a row's far counts, each as many times as the columns that hold it."""
+    key, inverse = np.unique(row * (k + 1) + count, return_inverse=True)
+    return key, np.bincount(inverse, length)
+
+
+def _sweep_paths(boxing, g, factor, block_elems=kernels._BLOCK_ELEMS):
+    """The value of `max_scaled_tail`, whether each of its blocks took the
+    arc path, and, for each arc block, its merged segments from the arc
+    path and from the events path over the same rows."""
+    paths, pairs = [], []
+    sweep = boundary._far_segments
+
+    def spy(G, near, i0, i1):
+        out = sweep(G, near, i0, i1)
+        paths.append(near[4] is not None)
+        if near[4] is not None:
+            pairs.append((_merged(*out, G.k), _merged(*sweep(G, near[:4] + (None,), i0, i1), G.k)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        mp.setattr(boundary, "_far_segments", spy)
+        value = max_scaled_tail(boxing, g, factor)
+    return value, paths, pairs
+
+
+# (hull, ε) -> whether `max_scaled_tail` takes the arc path, at every factor
+ARC_PATHS = {
+    **{("circle", eps): True for eps in ARC_EPSILONS},
+    **{("reuleaux", eps): True for eps in ARC_EPSILONS},
+    **{("reuleaux-3", eps): True for eps in ARC_EPSILONS},
+    **{("reuleaux-2", eps): True for eps in ARC_EPSILONS[:-1]},
+    # a row of three runs: the hull's 2,000 vertices make some antipodal
+    # sets two arcs
+    ("reuleaux-2", 1 / 1024): False,
+    ("random-disk", 1 / 64): True,
+    **{("random-disk", eps): False for eps in ARC_EPSILONS[1:]},
+}
+_ARC_VALUES = {}
+
+
+# small blocks are kept to k <= 1609, block size 1 (a block per row) to
+# k <= 805
+@pytest.mark.parametrize("hull, eps, block_elems", [
+    (hull, eps, block_elems) for hull in ARC_HULLS for eps in ARC_EPSILONS
+    for block_elems in [1, 997, kernels._BLOCK_ELEMS]
+    if block_elems == kernels._BLOCK_ELEMS or eps >= (1 / 128 if block_elems == 1 else 1 / 256)])
+def test_arc_path_matches_events_path(graphs, hull, eps, block_elems):
+    """The arc path is taken where `ARC_PATHS` says, at every factor; row by
+    row, its far counts are the events path's, and the value does not depend
+    on the block size."""
+    boxing, g = graphs(hull, eps)
+    for factor in FACTORS:
+        value, paths, pairs = _sweep_paths(boxing, g, factor, block_elems)
+        assert paths == [ARC_PATHS[hull, eps]] * len(paths)
+        assert len(pairs) == (len(paths) if ARC_PATHS[hull, eps] else 0)
+        for (key, length), (want_key, want_length) in pairs:
+            assert np.array_equal(key, want_key) and np.array_equal(length, want_length)
+        assert _ARC_VALUES.setdefault((hull, eps, factor), value) == value
+
+
+@pytest.mark.parametrize("factor", FACTORS)
+@pytest.mark.parametrize("eps", [1 / 64, 1 / 128])
+@pytest.mark.parametrize("hull", ARC_HULLS)
+def test_arc_path_matches_vertex_by_vertex_oracle(graphs, hull, eps, factor):
+    boxing, g = graphs(hull, eps)
+    assert max_scaled_tail(boxing, g, factor) == _brute(boxing, g, factor)
+
+
+def circulant_graph(k: int, gap: int) -> AntipodalGraph:
+    """i ~ j iff gap <= (j - i) mod k <= k - gap: row i is one cyclic arc of
+    k - 2 gap + 1 boxes, so for a small gap the neighbors' arcs run past the
+    end of row i's window and close again inside it."""
+    d = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
+    return AntipodalGraph.from_dense(((gap <= d) & (d <= k - gap)).astype(np.uint8))
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, kernels._BLOCK_ELEMS])
+@pytest.mark.parametrize("gap", [1, 2, 5, K // 4, K // 2])
+def test_arc_path_on_long_arcs(gap, block_elems):
+    """Complete (gap 1) and circulant graphs on the small circle's boxes take
+    the arc path; their far counts are the events path's and the value is the
+    oracle's."""
+    g = circulant_graph(K, gap)
+    for factor in FACTORS:
+        value, paths, pairs = _sweep_paths(SMALL_BOXING, g, factor, block_elems)
+        assert paths and all(paths) and len(pairs) == len(paths)
+        for (key, length), (want_key, want_length) in pairs:
+            assert np.array_equal(key, want_key) and np.array_equal(length, want_length)
+        assert value == _brute(SMALL_BOXING, g, factor)
+
+
+@pytest.mark.parametrize("eps", [1 / 64, 1 / 256, 1 / 1024])
+def test_arc_center_hulls_take_the_events_path(eps):
+    """Most boxes have no antipodal box (empty rows), and a few rows hold
+    three runs."""
+    boxing = discretize_boundary(convex_hull(arc_center_config(2000, eps)), eps)
+    g = build_graph(boxing)
+    _, paths, _ = _sweep_paths(boxing, g, 100.0)
+    assert paths and not any(paths)
