@@ -115,9 +115,10 @@ class AntipodalGraph:
     its own row, and the runs are sorted by row, each after the row's previous
     one ends (lo[r] > hi[r - 1]), so they are disjoint and maximal; the
     ValueError names the first bad run.  Full symmetry costs O(nnz) and is
-    checked by `from_dense`; the constructor checks in O(k + runs) that each
-    vertex's in-degree equals its degree, which any one-way edge breaks
-    unless other one-way edges balance it.  Degrees and the edge count come
+    checked by `from_dense`; the constructor checks in O(k + runs) that
+    A·x = Aᵀ·x for x = 1 (each vertex's in-degree equals its degree) and for
+    x = 1 … k, which one-way edges break unless they balance each other in
+    both sums: the checks are necessary, not sufficient.  Degrees and the edge count come
     from the run lengths; `matvec` costs O(k + runs) and `neighbors(i)`
     O(d_i).
     """
@@ -147,13 +148,23 @@ class AntipodalGraph:
             raise ValueError(f"run {r} (row {row[r]}, lo {lo[r]}, hi {hi[r]}) for k = {k} is out "
                              "of range, a loop, or not after the row's previous run")
         deg = np.bincount(row, hi - lo, k).astype(np.int64)
-        # a symmetric graph's in-degrees (a difference array over the runs)
-        # are its degrees
-        indeg = np.cumsum(np.bincount(lo, minlength=k + 1) - np.bincount(hi, minlength=k + 1))
-        if (indeg[:k] != deg).any():
-            j = int(np.argmax(indeg[:k] != deg))
-            raise ValueError(f"vertex {j} has degree {deg[j]} but in-degree {indeg[j]}: "
-                             "the runs are not symmetric")
+        # a symmetric graph has A·x = Aᵀ·x for every x: for x = 1 its
+        # in-degrees are its degrees, and for x = 1 … k it is checked in int64,
+        # A·x from the prefix sums m(m + 1)/2 of x (not `matvec`, which a
+        # subclass may count) and Aᵀ·x a difference array over the runs
+        # weighted by x[row]
+        a_x = np.zeros(k, np.int64)
+        np.add.at(a_x, row, (hi * (hi + 1) - lo * (lo + 1)) // 2)
+        for ax, w, what in ((deg, np.ones_like(row), "degree {} but in-degree {}"),
+                            (a_x, row + 1, "(A·x) {} but (Aᵀ·x) {} for x = 1 … k")):
+            diff = np.zeros(k + 1, np.int64)
+            np.add.at(diff, lo, w)
+            np.add.at(diff, hi, -w)
+            atx = np.cumsum(diff[:k])
+            if (atx != ax).any():
+                j = int(np.argmax(atx != ax))
+                raise ValueError(f"vertex {j} has {what.format(ax[j], atx[j])}: "
+                                 "the runs are not symmetric")
         object.__setattr__(self, "degrees", deg)
         object.__setattr__(self, "edge_count", int(deg.sum()) // 2)
 

@@ -287,9 +287,12 @@ def ratio_margin(counts: PairCounts) -> float:
 # ---------------------------------------------------------------------------
 
 def write_points(path, ps: PointSet) -> None:
+    # one joined string per block of rows: a write per row is ~1.6x slower,
+    # and one string for the whole file adds its size and a list per row to
+    # the peak memory
     with open(path, "w", encoding="ascii") as fh:
-        for x, y in ps.coords:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        for i in range(0, ps.n, 1024):
+            fh.write("".join(f"{x!r} {y!r}\n" for x, y in ps.coords[i : i + 1024].tolist()))
 
 
 # the bytes of a plain file: printable ASCII, tab, LF and CR

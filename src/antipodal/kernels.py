@@ -6,12 +6,14 @@ pair is settled whole where bounds that hold for every point pair below it
 decide it (`_gap_bounds` on exact bounding boxes; see the comment above it)
 and split where they do not; the leaf pairs left go through one NaN-padded
 gather (`_chunk_gaps`) and the brute-force expression, so every result
-equals brute force.  Grid pair counts, in sort-tile-recursive order, add
-|A|·|B| for a pair that no threshold splits; the maximum pairwise distance,
-in angle order, drops a pair whose box or law-of-cosines bound
-(`_polar_bounds`) falls below the best d2 so far; box-pair relations are
-maximal runs of consecutive boxes (`box_pair_runs`), joined as their rows
-are finished: the adjacency of `box_adjacency_runs`, with a second bound
+equals brute force.  The gather's blocks are shaped (size, size, pairs):
+with the pair axis innermost, each NumPy inner loop runs over a block's
+pairs, not over a leaf's 4 to 16 points.  Grid pair counts, in
+sort-tile-recursive order, add |A|·|B| for a pair that no threshold splits;
+the maximum pairwise distance, in angle order, drops a pair whose box or
+law-of-cosines bound (`_polar_bounds`) falls below the best d2 so far;
+box-pair relations are maximal runs of consecutive boxes (`box_pair_runs`),
+joined as their rows are finished: the adjacency of `box_adjacency_runs`, with a second bound
 tight to second order (`_chord_bounds`), and the near sets of `boundary`.
 Every blocked loop, the tail of `boundary` too, takes its block size from
 one budget (`_per_block`).
@@ -161,19 +163,22 @@ def _chunks(x, y, size):
 
 
 def _chunk_gaps(px, py, i0, j0, size):
-    """dx and dy, shaped (pairs, size, size), of every point pair of the chunk
-    pairs that start at points i0 and j0: [p, s, t] is point i0[p] + s less
-    point j0[p] + t.  px and py end in one NaN point, which stands in for
-    every point past the last."""
+    """dx and dy, shaped (size, size, pairs), of every point pair of the chunk
+    pairs that start at points i0 and j0: [s, t, p] is point i0[p] + s less
+    point j0[p] + t.  The pair axis is innermost, so every NumPy inner loop
+    over the block runs along its pairs, not along a leaf's 4 to 16 points.
+    px and py end in one NaN point, which stands in for every point past the
+    last."""
     last = px.shape[0] - 1
     span = np.arange(size)
-    i = np.minimum(i0[:, None, None] + span[:, None], last)
-    j = np.minimum(j0[:, None, None] + span, last)
+    i = np.minimum(span[:, None, None] + i0, last)
+    j = np.minimum(span[:, None] + j0, last)
     return px[i] - px[j], py[i] - py[j]
 
 
 def _chunk_d2(px, py, i0, j0):
-    """dx*dx + dy*dy of `_chunk_gaps` for chunks of _CHUNK, in place."""
+    """dx*dx + dy*dy of `_chunk_gaps` for chunks of _CHUNK, in place, shaped
+    (_CHUNK, _CHUNK, pairs) with the pair axis innermost."""
     d2, dy = _chunk_gaps(px, py, i0, j0, _CHUNK)
     d2 *= d2
     dy *= dy
@@ -284,7 +289,7 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
     far_min = min(far_sq)
     starts, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
     levels = _levels(boxes)
-    lower = np.tril_indices(_CHUNK)
+    lower = [s[:, None] for s in np.tril_indices(_CHUNK)]
 
     def bounds(level, a, b):
         lx, ux, ly, uy = _gap_bounds(levels[level], a, b)
@@ -309,12 +314,10 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
     def leaf(a, b):
         d2 = _chunk_d2(px, py, starts[a], starts[b])
         # a chunk's own pairs i >= j read NaN, which neither test counts
-        d2[np.flatnonzero(a == b)[:, None], lower[0], lower[1]] = np.nan
-        near_d2 = d2[d2 <= near_max]
-        far_d2 = d2[d2 >= far_min]
+        d2[lower[0], lower[1], np.flatnonzero(a == b)] = np.nan
         for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
-            near[e] += int(np.count_nonzero(near_d2 <= tn))
-            far[e] += int(np.count_nonzero(far_d2 >= tf))
+            near[e] += int(np.count_nonzero(d2 <= tn))
+            far[e] += int(np.count_nonzero(d2 >= tf))
 
     for _ in _descend(levels, decide, whole, leaf, _CHUNK * _CHUNK, upper=True):
         pass
@@ -450,8 +453,10 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
         dx, dy = _chunk_gaps(px, py, i0, j0, size)
         hit = holds(np.abs(dx, out=dx), np.abs(dy, out=dy))
         if not loops:
-            hit[np.flatnonzero(a == b)[:, None], np.arange(size), np.arange(size)] = False
-        t, lo, hi = _true_runs(hit.reshape(-1, size))
+            diag = np.arange(size)[:, None]
+            hit[diag, diag, np.flatnonzero(a == b)] = False
+        # rows (pair, point of a), as the runs are numbered
+        t, lo, hi = _true_runs(hit.transpose(2, 0, 1).reshape(-1, size))
         pair, off = np.divmod(t, size)
         row = i0[pair] + off
         pieces.append((row, row + 1, j0[pair] + lo, j0[pair] + hi))
@@ -622,8 +627,10 @@ def box_adjacency_runs(cx, cy, side: float, epsilon: float):
 def join_runs(row, lo, hi):
     """Maximal runs, sorted by row then lo, from disjoint runs in any order:
     runs of one row that meet (one's hi is the next one's lo) become one."""
-    # a row's runs are disjoint, so (row, lo) is unique and one key sorts them
-    order = np.argsort(row * (int(hi.max(initial=0)) + 1) + lo)
+    # a row's runs are disjoint, so (row, lo) is unique and one key sorts them;
+    # the keys mostly arrive in order, which the stable sort (radix or timsort)
+    # runs through faster than quicksort
+    order = np.argsort(row * (int(hi.max(initial=0)) + 1) + lo, kind="stable")
     row, lo, hi = row[order], lo[order], hi[order]
     # new[r]: run r starts a maximal run, and new[r + 1]: run r ends one
     new = np.ones(row.shape[0] + 1, bool)

@@ -388,3 +388,25 @@ def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, relation, flip):
     got = output()
     assert flipped
     assert not _same(got, want)
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, kernels._BLOCK_ELEMS])
+def test_leaf_layout_runs_match_the_oracles(monkeypatch, block_elems):
+    """With the pair axis innermost in the leaf blocks, the adjacency and the
+    near sets equal their oracles at any block size: on 13 boxes around a
+    circle, where the boxes of one 8-box leaf are adjacent to each other but
+    not to themselves, and on the 403 boxes of a circle hull at 1/64, whose
+    last 8-box and 4-box leaves are padded by NaN."""
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    ang = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
+    indptr, _ = _assert_matches_brute(0.5 * np.cos(ang), 0.5 * np.sin(ang), 0.05, 0.1)
+    assert indptr[-1] > 0
+    boxing = discretize_boundary(convex_hull(circle_config(600)), 1 / 64)
+    assert boxing.k % kernels._GRAPH_CHUNK and boxing.k % 4
+    _assert_matches_brute(boxing.centers[:, 0].copy(), boxing.centers[:, 1].copy(),
+                          boxing.side, boxing.epsilon)
+    row, lo, hi = near_runs(boxing, 3.0)
+    ptr = np.searchsorted(row, np.arange(boxing.k + 1))
+    for i in range(boxing.k):
+        r = slice(ptr[i], ptr[i + 1])
+        assert np.array_equal(kernels.expand_runs(lo[r], hi[r]), near_set_W(boxing, i, 3.0))

@@ -607,3 +607,25 @@ def test_point_io_reads_like_float_line_by_line(tmp_path_factory, lines, end, fi
     else:
         assert not isinstance(got, str), got
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def _write_points_by_row(path, ps):
+    """The text format written one row at a time, as `write_points` once did."""
+    with open(path, "w", encoding="ascii") as fh:
+        for x, y in ps.coords:
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_finite, _finite), max_size=30))
+@example([(0.0, -0.0), (-0.0, 0.0), (5e-324, -2.2250738585072014e-308),
+          (1e300, -1e-300), (-1e-300, 1e300), (0.1, 1 / 3)])
+@settings(max_examples=100, deadline=None)
+def test_write_points_bytes_equal_a_write_per_row(tmp_path_factory, points):
+    ps = PointSet.from_points(points)
+    path = tmp_path_factory.mktemp("points")
+    write_points(path / "joined.txt", ps)
+    _write_points_by_row(path / "rows.txt", ps)
+    assert (path / "joined.txt").read_bytes() == (path / "rows.txt").read_bytes()

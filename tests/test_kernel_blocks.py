@@ -153,3 +153,22 @@ def test_repeated_calls_do_not_fault_their_blocks_in_anew():
     graph_faults, tail_faults = map(int, done.stdout.split())
     assert graph_faults < 2000
     assert tail_faults < 2000
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, kernels._BLOCK_ELEMS])
+def test_leaf_layout_matches_brute_force_at_any_block_size(monkeypatch, block_elems):
+    """Every pair engine reads its leaf blocks with the pair axis innermost:
+    the counts (n = 700 and 2003, so the last 16-point chunk is padded by
+    NaN) and the diameters equal the dense evaluation at every block size."""
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(3)
+    for xy in (rng.random((700, 2)) - 0.5, reuleaux_boundary_config(2003, seed=2).coords):
+        assert xy.shape[0] % kernels._CHUNK
+        i, j = np.triu_indices(xy.shape[0], 1)
+        dx, dy = xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]
+        d2 = dx * dx + dy * dy
+        epsilons = (0.3, 0.05, 0.01)
+        want = [(int(np.count_nonzero(d2 <= e * e)),
+                 int(np.count_nonzero(d2 >= (1.0 - e) * (1.0 - e)))) for e in epsilons]
+        assert kernels.pair_grid_counts(xy, epsilons) == want
+        assert kernels.max_pairwise_distance_sq(xy) == float(d2.max())

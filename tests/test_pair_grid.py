@@ -429,3 +429,44 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         pair_counts_grid(PointSet.from_points([(0.0, 0.0)]), [0.1])
     assert pair_counts_grid(ps, []) == []
+
+
+def _lattice_with_ties(n, seed):
+    """n points on the lattice k/64 (n not a multiple of `kernels._CHUNK`, so
+    the last chunk is padded by NaN), with pairs exactly 1/16 and 15/16
+    apart: ties at a near and at a far threshold of ε = 1/16."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(0, 16, (n - 4, 2)) * 4 / 64
+    return np.vstack([xy, [(0.0, 0.0), (1 / 16, 0.0), (15 / 16, 0.0), (9 / 16, 12 / 16)]])
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, kernels._BLOCK_ELEMS])
+@pytest.mark.parametrize("n", [37, 150])
+def test_leaf_layout_counts_and_diameter_match_brute_force(monkeypatch, block_elems, n):
+    """The leaf blocks (the pair axis innermost) count every pair once, ties
+    at both thresholds included, at any block size."""
+    xy = _lattice_with_ties(n, n)
+    assert n % kernels._CHUNK
+    epsilons = (1 / 4, 1 / 16, 3 / 64)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    points = [tuple(p) for p in xy.tolist()]
+    assert kernels.pair_grid_counts(xy, epsilons) == [pair_counts_brute(points, e)
+                                                       for e in epsilons]
+    assert kernels.max_pairwise_distance_sq(xy) == _brute_max_d2(xy)
+
+
+def test_chunk_gaps_put_the_pair_axis_last():
+    """[s, t, p] of `_chunk_gaps` is point i0[p] + s less point j0[p] + t,
+    and the NaN point past the last stands in for the points past n."""
+    x = np.arange(20.0) ** 2
+    px, py = np.append(x, np.nan), np.append(-x, np.nan)
+    i0, j0 = np.array([0, 16, 4]), np.array([16, 0, 8])
+    dx, dy = kernels._chunk_gaps(px, py, i0, j0, 8)
+    assert dx.shape == dy.shape == (8, 8, 3)
+    for s in range(8):
+        for t in range(8):
+            for p in range(3):
+                i, j = i0[p] + s, j0[p] + t
+                inside = max(i, j) < 20
+                np.testing.assert_equal(dx[s, t, p], x[i] - x[j] if inside else np.nan)
+                np.testing.assert_equal(dy[s, t, p], -x[i] + x[j] if inside else np.nan)

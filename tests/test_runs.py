@@ -187,6 +187,9 @@ _BAD_RUNS = {
     # started from a zero vector
     "one-way": ((2, [0], [1], [2]), "vertex 0 has degree 1 but in-degree 0"),
     "one-way-pair": ((3, [0], [1], [3]), "vertex 0 has degree 2 but in-degree 0"),
+    # a directed 3-cycle: every in-degree is its degree, and edge_count read 1
+    "three-cycle": ((3, [0, 1, 2], [1, 2, 0], [2, 3, 1]),
+                    r"vertex 0 has \(A·x\) 2 but \(Aᵀ·x\) 3"),
 }
 
 
