@@ -124,6 +124,14 @@ def _band_heights(d: float, eps: float, xs: np.ndarray):
     return y_top, y_bot
 
 
+def _linspace(start, stop, num):
+    """The samples of np.linspace(start, stop, num) as a function of their
+    index, computed only where read, for num >= 2 and a nonzero step: by
+    linspace's own formula, i * step + start, the last sample set to stop."""
+    step = (stop - start) / (num - 1)
+    return lambda i: np.where(i == num - 1, stop, i * step + start)
+
+
 def spans(cfg: AnnulusPairConfig) -> tuple[float, float]:
     """(width, height) of the upper intersection region.
 
@@ -141,17 +149,21 @@ def spans(cfg: AnnulusPairConfig) -> tuple[float, float]:
     width = 2.0 * verts.side_pos.x
     step = cfg.epsilon / 100.0
     nsteps = max(2, int(math.ceil(width / step)) + 1)
-    xs = np.linspace(-verts.side_pos.x, verts.side_pos.x, nsteps)
-    neg = int(np.searchsorted(xs, 0.0))
+    xs = _linspace(-verts.side_pos.x, verts.side_pos.x, nsteps)
+    # the first sample >= 0: the middle one, or the next where rounding puts
+    # it below 0 (the one before lies half a step or more below 0)
+    neg = nsteps // 2
+    while xs(neg) < 0.0:
+        neg += 1
     starts = np.concatenate([np.arange(0, neg, _SPAN_BLOCK),
                              np.arange(neg, nsteps, _SPAN_BLOCK)])
     stops = np.append(starts[1:], nsteps)
-    y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs[[starts, stops - 1]])
+    y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs(np.stack([starts, stops - 1])))
     best = max(float((y_top - y_bot).max()), 0.0)
     undecided = y_top.max(axis=0) - y_bot.min(axis=0) > best
     if undecided.any():
         inner = kernels.expand_runs(starts[undecided], stops[undecided])
-        y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs[inner])
+        y_top, y_bot = _band_heights(cfg.d, cfg.epsilon, xs(inner))
         best = max(float((y_top - y_bot).max()), best)
     return width, best
 

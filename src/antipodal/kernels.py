@@ -1,20 +1,22 @@
 """Hot numeric kernels.
 
 Every exact pair engine runs on one depth-first descent (`_descend`) over a
-hierarchy of leaves of consecutive points (`_chunks`, `_levels`).  A node
-pair is settled whole where bounds that hold for every point pair below it
-decide it (`_gap_bounds` on exact bounding boxes; see the comment above it)
-and split where they do not; the leaf pairs left go through one NaN-padded
-gather (`_chunk_gaps`) and the brute-force expression, so every result
-equals brute force.  The gather's blocks are shaped (size, size, pairs):
-with the pair axis innermost, each NumPy inner loop runs over a block's
-pairs, not over a leaf's 4 to 16 points.  Grid pair counts, in
-sort-tile-recursive order, add |A|·|B| for a pair that no threshold splits;
-the maximum pairwise distance, in angle order, drops a pair whose box or
-law-of-cosines bound (`_polar_bounds`) falls below the best d2 so far;
-box-pair relations are maximal runs of consecutive boxes (`box_pair_runs`),
-joined as their rows are finished: the adjacency of `box_adjacency_runs`, with a second bound
-tight to second order (`_chord_bounds`), and the near sets of `boundary`.
+hierarchy of leaves of consecutive points (`_chunks`, `_levels`).  Its one
+callback, `settle`, bounds a block of node pairs once (`_gap_bounds` on
+exact bounding boxes; see the comment above it), settles the pairs whose
+bounds decide every point pair below them, and returns the rest to split;
+the leaf pairs left go through one NaN-padded gather (`_chunk_gaps`) and the
+brute-force expression, so every result equals brute force.  The gather's
+blocks are shaped (size, size, pairs): with the pair axis innermost, each
+NumPy inner loop runs over a block's pairs, not over a leaf's 4 to 16
+points.  Grid pair counts, in sort-tile-recursive order, settle a pair that
+no threshold splits by adding |A|·|B|; the maximum pairwise distance, in
+angle order, drops a pair whose box or law-of-cosines bound
+(`_polar_bounds`) falls below the best d2 so far; box-pair relations are
+maximal runs of consecutive boxes (`box_pair_runs`), settled as run pieces
+and joined as their rows are finished: the adjacency of
+`box_adjacency_runs`, with a second bound tight to second order
+(`_chord_bounds`), and the near sets of `boundary`.
 Every blocked loop, the tail of `boundary` too, takes its block size from
 one budget (`_per_block`).
 
@@ -149,17 +151,13 @@ def _polar_bounds(boxes, a, b):
 # chunk pairs: one chunk cut and one NaN-padded gather for every engine
 # ---------------------------------------------------------------------------
 
-def _cut(n, size):
-    """The starts and stops of the chunks of `size` consecutive items of n."""
-    starts = np.arange(0, n, size)
-    return starts, np.append(starts[1:], n)
-
-
-def _chunks(x, y, size):
+def _chunks(x, y, size, *polar):
     """The starts of the chunks of `size` consecutive points, their exact
-    bounding boxes, and x and y with the NaN point of `_chunk_gaps` appended."""
+    bounding boxes, followed by their polar boxes for `polar` = (r, t, t) (see
+    `_group`), and x and y with the NaN point of `_chunk_gaps` appended."""
     starts = np.arange(0, x.shape[0], size)
-    return starts, _group((x, x, y, y), starts), np.append(x, np.nan), np.append(y, np.nan)
+    return (starts, _group((x, x, y, y) + polar, starts),
+            np.append(x, np.nan), np.append(y, np.nan))
 
 
 def _chunk_gaps(px, py, i0, j0, size):
@@ -193,11 +191,12 @@ def _chunk_d2(px, py, i0, j0):
 # node of level l is a run of leaf * _FAN**l consecutive points whose boxes
 # contain its children's; levels are added until the top level's node pairs
 # split in one block.  `_descend`, the dual-tree scheme of Gray and Moore (NIPS
-# 2000), asks the engine for a verdict on every top node pair, and then, depth
-# first, on the child pairs of each pair left undecided: none of the point
-# pairs below holds, every one does (taken whole), or neither.  Blocks are
-# taken in the row order of the top pairs, so every row before the first one
-# a pending pair can reach is final.
+# 2000), hands the engine's `settle` every top node pair, and then, depth
+# first, the child pairs of each pair it left: `settle` bounds a block of node
+# pairs once, settles each pair its bounds decide for every point pair below
+# it, and returns the pairs left to split.  Blocks are taken in the row order
+# of the top pairs, so every row before the first one a pending pair can reach
+# is final.
 _FAN = 4
 
 
@@ -210,27 +209,21 @@ def _levels(boxes):
     return levels
 
 
-def _descend(levels, decide, whole, leaf, width, upper=False):
+def _descend(levels, settle, leaf, width, upper=False):
     """A generator that descends from every pair of top nodes of `levels`
-    (the pairs a <= b if `upper`).  ``decide(level, a, b)`` takes node pairs
-    as index arrays and returns boolean arrays (none, every); ``whole`` takes
-    the pairs that every point pair below holds for, and ``leaf(a, b)`` the
-    leaf pairs left, `_per_block(width)` at a time.  After each block it
-    yields the first leaf row that a pending pair can reach."""
+    (the pairs a <= b if `upper`).  ``settle(level, a, b)`` settles the node
+    pairs of a block (index arrays) that its bounds decide whole, and returns
+    a boolean mask of the pairs left; ``leaf(a, b)`` takes the leaf pairs
+    left, `_per_block(width)` at a time.  After each block it yields the
+    first leaf row that a pending pair can reach."""
     count = [boxes[0].shape[0] for boxes in levels]
     grid = np.arange(_FAN)
-
-    def visit(level, a, b, first):
-        none, every = decide(level, a, b)
-        whole(level, a[every], b[every])
-        rest = ~(none | every)
-        return level, a[rest], b[rest], first
-
-    m = count[-1]
-    stack = [visit(len(levels) - 1, *(np.triu_indices(m) if upper else
-                                      np.divmod(np.arange(m * m), m)), 0)]
+    level, m = len(levels) - 1, count[-1]
+    a, b = np.triu_indices(m) if upper else np.divmod(np.arange(m * m), m)
+    rest = settle(level, a, b)
+    stack = [(level, a[rest], b[rest], 0)]
     while stack:
-        # the undecided pairs of a level, and the first leaf row they reach
+        # the pairs of a level left to split, and the first leaf row they reach
         level, a, b, first = stack.pop()
         if not a.shape[0]:
             continue
@@ -245,7 +238,9 @@ def _descend(levels, decide, whole, leaf, width, upper=False):
             keep = (a < count[level - 1]) & (b < count[level - 1])
             if upper:
                 keep &= a <= b
-            stack.append(visit(level - 1, a[keep], b[keep], first))
+            a, b = a[keep], b[keep]
+            rest = settle(level - 1, a, b)
+            stack.append((level - 1, a[rest], b[rest], first))
         else:
             leaf(a, b)
         yield min(entry[3] for entry in stack) if stack else count[0]
@@ -285,31 +280,23 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
     n = xy.shape[0]
     if n < 2 or not near_sq:
         return list(zip(near, far))
-    near_max = max(near_sq)
-    far_min = min(far_sq)
     starts, boxes, px, py = _chunks(*xy[_tile_order(*xy.T)].T, _CHUNK)
     levels = _levels(boxes)
     lower = [s[:, None] for s in np.tril_indices(_CHUNK)]
 
-    def bounds(level, a, b):
+    def settle(level, a, b):
         lx, ux, ly, uy = _gap_bounds(levels[level], a, b)
-        return lx * lx + ly * ly, ux * ux + uy * uy
-
-    def decide(level, a, b):
-        lo2, hi2 = bounds(level, a, b)
-        none = (lo2 > near_max) & (hi2 < far_min)
-        every = (a != b) & ~none
+        lo2, hi2 = lx * lx + ly * ly, ux * ux + uy * uy
+        settled = a != b
         for tn, tf in zip(near_sq, far_sq):
-            every &= ((lo2 > tn) | (hi2 <= tn)) & ((lo2 >= tf) | (hi2 < tf))
-        return none, every
-
-    def whole(level, a, b):
-        lo2, hi2 = bounds(level, a, b)
+            settled &= ((lo2 > tn) | (hi2 <= tn)) & ((lo2 >= tf) | (hi2 < tf))
         w = _CHUNK * _FAN**level
+        a, b, lo2, hi2 = a[settled], b[settled], lo2[settled], hi2[settled]
         weight = (np.minimum(a * w + w, n) - a * w) * (np.minimum(b * w + w, n) - b * w)
         for e, (tn, tf) in enumerate(zip(near_sq, far_sq)):
             near[e] += int(weight[hi2 <= tn].sum())
             far[e] += int(weight[lo2 >= tf].sum())
+        return ~settled
 
     def leaf(a, b):
         d2 = _chunk_d2(px, py, starts[a], starts[b])
@@ -319,7 +306,7 @@ def pair_grid_counts(xy: np.ndarray, epsilons) -> list[tuple[int, int]]:
             near[e] += int(np.count_nonzero(d2 <= tn))
             far[e] += int(np.count_nonzero(d2 >= tf))
 
-    for _ in _descend(levels, decide, whole, leaf, _CHUNK * _CHUNK, upper=True):
+    for _ in _descend(levels, settle, leaf, _CHUNK * _CHUNK, upper=True):
         pass
     return list(zip(near, far))
 
@@ -362,19 +349,18 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         best = max(best, float((dx * dx + dy * dy).max()))
 
     use_polar = float((hi - lo).max()) <= _POLAR_MAX_SPAN and best >= _POLAR_MIN_L
-    starts, _ = _cut(n, _CHUNK)
-    px, py = np.append(x, np.nan), np.append(y, np.nan)
+    starts, boxes, px, py = _chunks(x, y, _CHUNK, r, t, t)
     # levels[l]: the boxes and polar boxes of the nodes of level l
-    levels = _levels(_group((x, x, y, y, r, t, t), starts))
+    levels = _levels(boxes)
 
-    def decide(level, a, b):
+    def settle(level, a, b):
         # the polar bound only where the box bound reaches the best so far
         ux, uy = _gap_upper(levels[level][:4], a, b)
         none = ux * ux + uy * uy < best
         if use_polar:
             rest = np.flatnonzero(~none)
             none[rest] = _polar_bounds(levels[level][4:], a[rest], b[rest]) < best
-        return none, np.zeros_like(none)
+        return ~none
 
     def leaf(a, b):
         nonlocal best
@@ -382,7 +368,7 @@ def max_pairwise_distance_sq(xy: np.ndarray) -> float:
         d2 = _chunk_d2(px, py, starts[a], starts[b])
         best = float(np.fmax.reduce(d2, axis=None, initial=best))
 
-    for _ in _descend(levels, decide, lambda *pairs: None, leaf, _CHUNK * _CHUNK, upper=True):
+    for _ in _descend(levels, settle, leaf, _CHUNK * _CHUNK, upper=True):
         pass
     return best
 
@@ -432,14 +418,13 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
     pieces = [(none,) * 4]
     runs = [(none,) * 3]
 
-    def verdict(level, a, b):
+    def settle(level, a, b):
         skip, every = decide(level, a, b, *_gap_bounds(levels[level], a, b))
         if not loops:
             # a node's own pairs include i ~ i, so they are split
             every &= a != b
-        return skip, every
-
-    def whole(level, a, b):
+        rest = ~(skip | every)
+        a, b = a[every], b[every]
         # each run of pairs (a, b), (a, b + 1), ...: node a ~ nodes b ..
         w = size * _FAN**level
         new = np.ones(a.shape[0] + 1, bool)
@@ -447,6 +432,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
         row = a[new[:-1]] * w
         pieces.append((row, np.minimum(row + w, k), b[new[:-1]] * w,
                        np.minimum(b[new[1:]] * w + w, k)))
+        return rest
 
     def leaf(a, b):
         i0, j0 = starts[a], starts[b]
@@ -471,7 +457,7 @@ def box_pair_runs(cx, cy, size: int, decide, holds, loops: bool = True):
         runs.append(join_runs(expand_runs(r0, cut), np.repeat(lo, count), np.repeat(hi, count)))
 
     final = 0
-    for low in _descend(levels, verdict, whole, leaf, size * size):
+    for low in _descend(levels, settle, leaf, size * size):
         # the pieces of the rows before `final` change only as it grows
         if low * size > final:
             final = low * size
@@ -543,11 +529,11 @@ def _chord_chunks(x, y, size, side, thr2):
     span = max(np.abs(x).max(), np.abs(y).max()) + side
     if not span * span <= _CHORD_MAX_SPAN2 * thr2:
         return None
-    starts, stops = _cut(x.shape[0], size)
-    last = stops - 1
+    starts = np.arange(0, x.shape[0], size)
+    count = np.diff(starts, append=x.shape[0])
+    last = starts + count - 1
     mx, my = 0.5 * x[last] + 0.5 * x[starts], 0.5 * y[last] + 0.5 * y[starts]
     hx, hy = 0.5 * x[last] - 0.5 * x[starts], 0.5 * y[last] - 0.5 * y[starts]
-    count = stops - starts
     vx, vy = x - np.repeat(mx, count), y - np.repeat(my, count)
     ux, uy = np.repeat(hx, count), np.repeat(hy, count)
     # t = v.h / |h|**2 clipped to [-1, 1]; any t there will do where |h|**2

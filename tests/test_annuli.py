@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antipodal import (
@@ -138,6 +138,61 @@ def test_height_bound_holds_for_any_band_of_the_same_shape(monkeypatch, seed):
     top, bot = band(cfg.d, cfg.epsilon, np.linspace(-side_x, side_x, n))
     monkeypatch.setattr(annuli, "_band_heights", band)
     assert spans(cfg)[1] == float(np.maximum(top - bot, 0.0).max())
+
+
+def _assert_spans_reads_linspace(monkeypatch, d, eps):
+    """spans computes only the samples it reads, and they are those of the
+    whole np.linspace bit for bit: every sample of `annuli._linspace`, and
+    the block ends of the linspace cut at its first sample >= 0 (the first
+    abscissae spans hands `_band_heights`).  Returns that first index less
+    the middle one."""
+    cfg = AnnulusPairConfig(d=d, epsilon=eps)
+    side_x = intersection_vertices(cfg).side_pos.x
+    n = max(2, int(math.ceil(2.0 * side_x / (eps / 100.0))) + 1)
+    xs = np.linspace(-side_x, side_x, n)
+    assert annuli._linspace(-side_x, side_x, n)(np.arange(n)).tobytes() == xs.tobytes()
+    neg = int(np.searchsorted(xs, 0.0))
+    starts = np.concatenate([np.arange(0, neg, annuli._SPAN_BLOCK),
+                             np.arange(neg, n, annuli._SPAN_BLOCK)])
+    stops = np.append(starts[1:], n)
+    read = []
+    band_heights = annuli._band_heights
+
+    def spy(d, eps, x):
+        read.append(x)
+        return band_heights(d, eps, x)
+
+    monkeypatch.setattr(annuli, "_band_heights", spy)
+    spans(cfg)
+    assert read[0].tobytes() == xs[[starts, stops - 1]].tobytes()
+    for x in read[1:]:
+        assert xs[np.searchsorted(xs, x)].tobytes() == x.tobytes()
+    return neg - n // 2
+
+
+@pytest.mark.parametrize("d,eps", LATTICE)
+def test_spans_reads_linspace_samples_on_the_lattice(monkeypatch, d, eps):
+    assert _assert_spans_reads_linspace(monkeypatch, d, eps) == 0
+
+
+@pytest.mark.parametrize("d,eps", [(0.13728619793023444, 0.014848319190131389),
+                                   (0.46300794971696024, 0.42960078886643416)])
+def test_spans_steps_past_a_middle_sample_below_zero(monkeypatch, d, eps):
+    """An odd sample count whose middle sample rounds below 0: the first
+    sample >= 0 is the next one."""
+    assert _assert_spans_reads_linspace(monkeypatch, d, eps) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(2, 5000))
+def test_linspace_samples_match_numpy(start, stop, num):
+    """`annuli._linspace` equals np.linspace bit for bit at every index,
+    wherever the step is nonzero."""
+    assume((stop - start) / (num - 1) != 0.0)
+    want = np.linspace(start, stop, num)
+    assert annuli._linspace(start, stop, num)(np.arange(num)).tobytes() == want.tobytes()
+    i = int(num // 3)
+    assert float(annuli._linspace(start, stop, num)(i)) == want[i]
 
 
 @pytest.mark.parametrize("d,eps", LEMMA_GRID)

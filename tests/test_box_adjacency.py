@@ -327,6 +327,10 @@ def _near_run_rows(boxing, factor):
             for i in range(boxing.k)]
 
 
+# the pair counts' thresholds in the mutation gate
+_PAIR_EPSILONS = (0.3, 0.08, 0.02)
+
+
 def _relation(name):
     """(output, oracle) of a relation on an input that descends at least
     three levels under the deep block budget."""
@@ -343,35 +347,23 @@ def _relation(name):
     # 64 points on each of five sites, 1/16, 15/16 or 1 apart on an axis
     points = [site for site in [(0.0, 0.0), (1 / 16, 0.0), (0.5, 0.5), (15 / 16, 0.0),
                                 (1.0, 0.0)] for _ in range(64)]
-    epsilons = (0.3, 0.08, 0.02)
-    return (lambda: kernels.pair_grid_counts(np.array(points), epsilons),
-            lambda: [pair_counts_brute(points, e) for e in epsilons])
+    return (lambda: kernels.pair_grid_counts(np.array(points), _PAIR_EPSILONS),
+            lambda: [pair_counts_brute(points, e) for e in _PAIR_EPSILONS])
 
 
 def _same(got, want):
     return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-# a pair that counts for no threshold adds nothing when taken whole, so the
-# counts flip "every" only
-@pytest.mark.parametrize("relation, flip", [
-    ("adjacency", "none"), ("adjacency", "every"), ("near-runs", "none"),
-    ("near-runs", "every"), ("pair-counts", "every"),
-], ids=["none", "every", "near-runs-none", "near-runs-every", "pair-counts-every"])
-def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, relation, flip):
-    """Mutation gate for the descent: `decide` wrapped to flip its first
-    settled verdict off the diagonal at a level above the leaves ("none" to
-    "every", or back) gives an output that differs from the relation's
-    oracle, so a wrong node-pair decision cannot pass the comparisons with
-    brute force."""
-    output, oracle = _relation(relation)
-    want = oracle()
-    flipped = []
-    descend = kernels._descend
+def _flip_box_relation(monkeypatch, flip, flipped):
+    """Wrap the `decide` that a box relation hands `kernels.box_pair_runs`
+    so that it flips its first settled verdict off the diagonal at a level
+    above the leaves ("none" to "every", or back)."""
+    pair_runs = kernels.box_pair_runs
 
-    def spy(levels, decide, whole, leaf, width, upper=False):
-        def mutant(level, a, b):
-            none, every = decide(level, a, b)
+    def spy(cx, cy, size, decide, holds, loops=True):
+        def mutant(level, a, b, *bounds):
+            none, every = decide(level, a, b, *bounds)
             if level >= 1 and not flipped:
                 settled = np.flatnonzero((none if flip == "none" else every) & (a != b))
                 if settled.size:
@@ -380,11 +372,62 @@ def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, relation, flip):
                     flipped.append(level)
             return none, every
 
-        return descend(levels, mutant, whole, leaf, width, upper)
+        return pair_runs(cx, cy, size, mutant, holds, loops)
 
+    monkeypatch.setattr(kernels, "box_pair_runs", spy)
+
+
+def _flip_pair_counts(monkeypatch, leaves, flipped):
+    """Corrupt `kernels._gap_bounds` for the first node pair off the diagonal
+    above the leaves (a level of fewer than `leaves` nodes) that its bounds
+    settle whole as counting for some threshold: its bounds are moved to a
+    d2 of 0.25, where they settle it as counting for none."""
+    gap_bounds = kernels._gap_bounds
+    near_sq = [e * e for e in _PAIR_EPSILONS]
+    far_sq = [(1.0 - e) * (1.0 - e) for e in _PAIR_EPSILONS]
+
+    def spy(boxes, a, b):
+        lx, ux, ly, uy = gap_bounds(boxes, a, b)
+        if boxes[0].shape[0] < leaves and not flipped:
+            lo2, hi2 = lx * lx + ly * ly, ux * ux + uy * uy
+            counted = (a != b) & ((hi2 <= max(near_sq)) | (lo2 >= min(far_sq)))
+            for tn, tf in zip(near_sq, far_sq):
+                counted &= ((lo2 > tn) | (hi2 <= tn)) & ((lo2 >= tf) | (hi2 < tf))
+            settled = np.flatnonzero(counted)
+            if settled.size:
+                p = settled[0]
+                lx[p] = ux[p] = 0.5
+                ly[p] = uy[p] = 0.0
+                flipped.append(p)
+        return lx, ux, ly, uy
+
+    monkeypatch.setattr(kernels, "_gap_bounds", spy)
+
+
+# a pair that counts for no threshold adds nothing when settled whole, so the
+# counts flip "every" only
+@pytest.mark.parametrize("relation, flip", [
+    ("adjacency", "none"), ("adjacency", "every"), ("near-runs", "none"),
+    ("near-runs", "every"), ("pair-counts", "every"),
+], ids=["none", "every", "near-runs-none", "near-runs-every", "pair-counts-every"])
+def test_flipped_sub_chunk_verdict_is_caught(monkeypatch, relation, flip):
+    """Mutation gate for the descent: one settled verdict flipped off the
+    diagonal at a level above the leaves ("none" to "every", or back) gives an
+    output that differs from the relation's oracle, so a wrong node-pair
+    decision cannot pass the comparisons with brute force.  The box relations
+    flip the verdict of the `decide` they hand `box_pair_runs`; the pair
+    counts, which settle from `_gap_bounds` alone, get one node pair's bounds
+    moved to where no threshold counts it."""
+    output, oracle = _relation(relation)
+    want = oracle()
+    flipped = []
     deep_descent(monkeypatch)
     assert _same(output(), want)
-    monkeypatch.setattr(kernels, "_descend", spy)
+    if relation == "pair-counts":
+        # 320 points: 20 leaves of kernels._CHUNK
+        _flip_pair_counts(monkeypatch, 320 // kernels._CHUNK, flipped)
+    else:
+        _flip_box_relation(monkeypatch, flip, flipped)
     got = output()
     assert flipped
     assert not _same(got, want)

@@ -172,3 +172,41 @@ def test_leaf_layout_matches_brute_force_at_any_block_size(monkeypatch, block_el
                  int(np.count_nonzero(d2 >= (1.0 - e) * (1.0 - e)))) for e in epsilons]
         assert kernels.pair_grid_counts(xy, epsilons) == want
         assert kernels.max_pairwise_distance_sq(xy) == float(d2.max())
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["all-pairs", "upper"])
+@pytest.mark.parametrize("leaves, block_elems, width", [
+    (1, 997, 1), (37, 997, 4), (37, 997, 1000), (300, kernels._BLOCK_ELEMS, 64),
+])
+def test_descent_covers_every_leaf_pair_once(monkeypatch, upper, leaves, block_elems, width):
+    """The contract of `kernels._descend`, with a `settle` that settles a
+    random third of each block it is handed: every leaf pair (a <= b if
+    `upper`) lies in exactly one settled node pair or in exactly one `leaf`
+    call, a leaf call holds at most `_per_block(width)` pairs, and the rows
+    it yields never fall and are never reached again by a later block."""
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(leaves)
+    x = rng.random(leaves)
+    levels = kernels._levels(kernels._group((x, x, x, x), np.arange(leaves)))
+    cover = np.zeros((leaves, leaves), np.int64)
+    final = [0]
+
+    def settle(level, a, b):
+        assert not upper or (a <= b).all()
+        settled = rng.random(a.shape[0]) < 1 / 3
+        w = kernels._FAN**level
+        for i, j in zip(a[settled] * w, b[settled] * w):
+            assert i >= final[0]
+            cover[i : i + w, j : j + w] += 1
+        return ~settled
+
+    def leaf(a, b):
+        assert 0 < a.shape[0] <= kernels._per_block(width)
+        assert (a >= final[0]).all()
+        np.add.at(cover, (a, b), 1)
+
+    for row in kernels._descend(levels, settle, leaf, width, upper):
+        assert row >= final[0]
+        final[0] = row
+    assert final[0] == leaves
+    assert (cover[np.triu_indices(leaves)] == 1).all() if upper else (cover == 1).all()

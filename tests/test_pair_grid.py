@@ -421,6 +421,32 @@ def test_descent_counts_stay_linear_on_a_reuleaux_sample(monkeypatch):
     assert counts["evaluated"] <= 8 * m
 
 
+def test_counts_bound_each_node_pair_once(monkeypatch):
+    """`pair_grid_counts` hands each node pair it visits to `_gap_bounds`
+    once: the bounds that settle a pair are the ones it is counted from.  On
+    this sample and grid the descent settles chunk pairs whole."""
+    xy = reuleaux_boundary_config(600, seed=4).coords
+    epsilons = (0.3, 0.1, 0.02)
+    deep_descent(monkeypatch)
+    gap_bounds = kernels._gap_bounds
+    # per level (its node count): the keys a * nodes + b of the pairs bounded
+    bounded = {}
+
+    def spy(boxes, a, b):
+        nodes = boxes[0].shape[0]
+        bounded.setdefault(nodes, []).append(a * nodes + b)
+        return gap_bounds(boxes, a, b)
+
+    monkeypatch.setattr(kernels, "_gap_bounds", spy)
+    points = [tuple(p) for p in xy.tolist()]
+    assert kernels.pair_grid_counts(xy, epsilons) == [pair_counts_brute(points, e)
+                                                       for e in epsilons]
+    assert len(bounded) >= 3
+    for keys in bounded.values():
+        keys = np.concatenate(keys)
+        assert np.unique(keys).size == keys.size
+
+
 def test_grid_validation():
     ps = PointSet.from_points([(0.0, 0.0), (1.0, 0.0)])
     for eps in (0.0, 0.5, -0.1, float("nan")):
